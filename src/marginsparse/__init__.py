@@ -10,8 +10,7 @@ with every bound checkable from measured quantities.
 from .errors import DataError, NumericalError
 from .linalg import ThinSvd, orthonormality_defect, row_norms_sq, spectral_norm, thin_svd
 from .operators import SamplingOperator
-from .bss import (BarrierState, BssDiagnostics, bss_select, candidate_scores,
-                  lower_potential, upper_potential)
+from .bss import BssDiagnostics, bss_select
 from .leverage import LeverageDistribution, leverage_scores, leverage_select
 from .sketch import SketchConfig, approx_bss_select, gaussian_sketch
 from .svm import (SvmModel, error_rate, margin, predict, solve_dual,
@@ -32,8 +31,7 @@ __all__ = [
     "DataError", "NumericalError",
     "ThinSvd", "thin_svd", "spectral_norm", "row_norms_sq", "orthonormality_defect",
     "SamplingOperator",
-    "BarrierState", "BssDiagnostics", "bss_select", "candidate_scores",
-    "lower_potential", "upper_potential",
+    "BssDiagnostics", "bss_select",
     "LeverageDistribution", "leverage_scores", "leverage_select",
     "SketchConfig", "gaussian_sketch", "approx_bss_select",
     "SvmModel", "solve_dual", "margin", "support_vectors", "predict", "error_rate",

@@ -13,6 +13,12 @@ of R^T V lies in [1 - sqrt(ell/r), 1 + sqrt(ell/r)], hence
 
     ||V^T V - V^T R R^T V||_2 <= 3 sqrt(ell / r).
 
+Each step picks the acceptable untaken row of largest norm.  Rows are
+scored lazily: in descending-norm order, SCORE_BLOCK rows at a time,
+stopping at the first block that holds an acceptable untaken row.  A step
+costs one ell x ell eigendecomposition plus O(ell^2) per row scored, and
+scores all d rows only when every acceptable row is already taken.
+
 The procedure is fully deterministic: no randomness anywhere.
 """
 
@@ -29,75 +35,18 @@ from .operators import SamplingOperator
 
 # Relative slack when testing uscore <= lscore, so exact ties survive rounding.
 SCORE_SLACK = 1e-12
-
-
-def lower_potential(L, eigenvalues):
-    """sum_i 1/(lambda_i - L); requires the barrier L below the spectrum."""
-    lam = np.asarray(eigenvalues, dtype=np.float64)
-    if lam.size and lam.min() <= L:
-        raise ValueError(f"lower barrier {L} is not below the spectrum (min {lam.min()})")
-    return float(np.sum(1.0 / (lam - L)))
-
-
-def upper_potential(U, eigenvalues):
-    """sum_i 1/(U - lambda_i); requires the barrier U above the spectrum."""
-    lam = np.asarray(eigenvalues, dtype=np.float64)
-    if lam.size and lam.max() >= U:
-        raise ValueError(f"upper barrier {U} is not above the spectrum (max {lam.max()})")
-    return float(np.sum(1.0 / (U - lam)))
-
-
-@dataclass(frozen=True)
-class BarrierState:
-    """Running matrix A = sum t * v v^T with its cached eigendecomposition."""
-
-    A: np.ndarray
-    tau: int
-    eigenvalues: np.ndarray   # ascending
-    eigenvectors: np.ndarray  # columns match eigenvalues
-
-    @classmethod
-    def initial(cls, ell: int) -> "BarrierState":
-        return cls(np.zeros((ell, ell)), 0, np.zeros(ell), np.eye(ell))
-
-    def updated(self, v, t: float) -> "BarrierState":
-        A = self.A + t * np.outer(v, v)
-        A = 0.5 * (A + A.T)
-        lam, W = np.linalg.eigh(A)
-        return BarrierState(A, self.tau + 1, lam, W)
-
-
-def candidate_scores(v, state: BarrierState, L, U, delta_lower, delta_upper):
-    """Lower/upper scores of one candidate row against the current barriers.
-
-    lscore = v^T (A - (L+dL)I)^-2 v / (Phi(L+dL) - Phi(L)) - v^T (A - (L+dL)I)^-1 v
-    uscore = v^T ((U+dU)I - A)^-2 v / (Phihat(U) - Phihat(U+dU)) + v^T ((U+dU)I - A)^-1 v
-
-    Resolvents are applied through the cached eigendecomposition.  The
-    shifted points L+dL / U+dU may sit inside the spectrum as long as they
-    do not hit an eigenvalue exactly.
-    """
-    lam = state.eigenvalues
-    q2 = (state.eigenvectors.T @ np.asarray(v, dtype=np.float64)) ** 2
-    gap_lo = lam - (L + delta_lower)
-    gap_hi = (U + delta_upper) - lam
-    if np.any(gap_lo == 0.0) or np.any(gap_hi == 0.0):
-        raise NumericalError("shifted barrier coincides with an eigenvalue")
-    dphi_l = np.sum(1.0 / gap_lo) - np.sum(1.0 / (lam - L))
-    dphi_u = np.sum(1.0 / (U - lam)) - np.sum(1.0 / gap_hi)
-    if dphi_l == 0.0 or dphi_u == 0.0:
-        raise NumericalError("degenerate potential difference")
-    lscore = np.sum(q2 / gap_lo**2) / dphi_l - np.sum(q2 / gap_lo)
-    uscore = np.sum(q2 / gap_hi**2) / dphi_u + np.sum(q2 / gap_hi)
-    return float(lscore), float(uscore)
+# Rows scored per block of the lazy scan.
+SCORE_BLOCK = 64
 
 
 @dataclass(frozen=True)
 class BssDiagnostics:
     """Instrumentation from one bss_select run.
 
-    eig_count counts eigendecompositions (one per iteration); together with
-    score_evaluations == r * d it witnesses the per-iteration cost profile.
+    eig_count counts eigendecompositions (one per iteration).
+    score_evaluations counts rows scored: per iteration, the whole blocks
+    of the descending-norm order up to the one holding the pick, or all d
+    rows on an iteration that reselects a taken row.
     """
 
     eig_count: int
@@ -125,9 +74,12 @@ def bss_select(V, r: int, *, return_diagnostics: bool = False):
     delta_upper = (1.0 + ratio) / (1.0 - ratio)
     sqrt_rl = math.sqrt(r * ell)
 
-    row_sq = row_norms_sq(V)
+    # Stable sort: rows of equal norm keep ascending index order, so the
+    # first eligible row in this order is the largest-norm, lowest-index one.
+    order = np.argsort(-row_norms_sq(V), kind="stable")
+    V_sorted = V[order]
     A = np.zeros((ell, ell))
-    taken = np.zeros(d, dtype=bool)
+    taken = np.zeros(d, dtype=bool)  # by position in `order`
     indices = np.empty(r, dtype=np.intp)
     steps = np.empty(r)
     eig_count = 0
@@ -154,32 +106,46 @@ def bss_select(V, r: int, *, return_diagnostics: bool = False):
             )
         dphi_l = np.sum(1.0 / gap_lo) - np.sum(1.0 / (lam - L))
         dphi_u = np.sum(1.0 / (U - lam)) - np.sum(1.0 / gap_hi)
+        inv_lo, inv_lo2 = 1.0 / gap_lo, gap_lo**-2
+        inv_hi, inv_hi2 = 1.0 / gap_hi, gap_hi**-2
 
-        # Score all d rows at once in the eigenbasis of A: O(d ell^2).
-        P2 = (V @ W) ** 2
-        lsc = (P2 @ gap_lo**-2) / dphi_l - P2 @ (1.0 / gap_lo)
-        usc = (P2 @ gap_hi**-2) / dphi_u + P2 @ (1.0 / gap_hi)
-        score_evals += d
+        # Score rows in the eigenbasis of A, one block at a time.
+        scored = []
+        pick = None
+        for start in range(0, d, SCORE_BLOCK):
+            P2 = (V_sorted[start:start + SCORE_BLOCK] @ W) ** 2
+            lsc = (P2 @ inv_lo2) / dphi_l - P2 @ inv_lo
+            usc = (P2 @ inv_hi2) / dphi_u + P2 @ inv_hi
+            score_evals += P2.shape[0]
+            slack = SCORE_SLACK * np.maximum(np.abs(lsc), np.abs(usc))
+            eligible = (usc <= lsc + slack) & (usc + lsc > 0.0)
+            hits = np.flatnonzero(eligible & ~taken[start:start + SCORE_BLOCK])
+            if hits.size:
+                k = hits[0]
+                pick = start + k, lsc[k], usc[k]
+                break
+            scored.append((lsc, usc, eligible))
 
-        slack = SCORE_SLACK * np.maximum(np.abs(lsc), np.abs(usc))
-        eligible = (usc <= lsc + slack) & (usc + lsc > 0.0)
-        if not eligible.any():
-            raise NumericalError(
-                f"no acceptable column at iteration {tau} "
-                f"(max lscore-uscore = {np.max(lsc - usc):.3e}, "
-                f"potentials {np.sum(1.0 / (lam - L)):.6g}/{np.sum(1.0 / (U - lam)):.6g}, "
-                f"spectrum [{lam[0]:.9g}, {lam[-1]:.9g}], barriers ({L:.9g}, {U:.9g}))"
-            )
-        cand = np.flatnonzero(eligible & ~taken)
-        if cand.size == 0:
-            cand = np.flatnonzero(eligible)  # allow re-selection
+        if pick is None:
+            # Every eligible row is taken, and all d rows have been scored.
+            lsc, usc, eligible = (np.concatenate(a) for a in zip(*scored))
+            if not eligible.any():
+                raise NumericalError(
+                    f"no acceptable column at iteration {tau} "
+                    f"(max lscore-uscore = {np.max(lsc - usc):.3e}, "
+                    f"potentials {np.sum(1.0 / (lam - L)):.6g}/{np.sum(1.0 / (U - lam)):.6g}, "
+                    f"spectrum [{lam[0]:.9g}, {lam[-1]:.9g}], barriers ({L:.9g}, {U:.9g}))"
+                )
+            k = np.flatnonzero(eligible)[0]  # allow re-selection
+            pick = k, lsc[k], usc[k]
             reselections += 1
-        i = cand[np.argmax(row_sq[cand])]
+        pos, l_i, u_i = pick
 
-        t = 2.0 / (usc[i] + lsc[i])
-        A += t * np.outer(V[i], V[i])
-        taken[i] = True
-        indices[tau] = i
+        t = 2.0 / (u_i + l_i)
+        v = V_sorted[pos]
+        A += t * np.outer(v, v)
+        taken[pos] = True
+        indices[tau] = order[pos]
         steps[tau] = t
 
     weights = np.sqrt(steps) * math.sqrt((1.0 - ratio) / r)

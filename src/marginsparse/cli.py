@@ -161,7 +161,7 @@ def _verify_spectral(args):
     for _ in range(args.trials):
         V = np.linalg.qr(rng.standard_normal((d, args.l)))[0]
         op = bss_select(V, args.r)
-        M = op.matrix().T @ V
+        M = V[op.indices] * op.weights[:, None]  # R^T V without the d x r R
         sig = np.linalg.svd(M, compute_uv=False)
         err = spectral_norm(V.T @ V - M.T @ M)
         max_err = max(max_err, err)
@@ -328,18 +328,10 @@ def build_parser():
     p.add_argument("--r", dest="r", type=int, default=128,
                    help="selections per trial (spectral)")
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--data", default=None)
-    p.add_argument("--method", default="bss", choices=list(METHODS))
-    p.add_argument("--mode", default="supervised",
-                   choices=["supervised", "unsupervised"])
+    _add_common_selection_flags(p, need_data=False)
+    p.add_argument("--data", default=None,
+                   help="dataset path (margin and radius bounds)")
     p.add_argument("--features", type=int, default=None)
-    p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--t", type=int, default=None)
-    p.add_argument("--chunk-fraction", dest="chunk_fraction", type=float, default=0.1)
-    p.add_argument("--kkt-tol", dest="kkt_tol", type=float, default=1e-4)
-    p.add_argument("--delta", type=float, default=1e-3)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("feature-freq",

@@ -108,7 +108,7 @@ def radius_bound_check(X, R: SamplingOperator, delta: float = 1e-3) -> RadiusChe
     ball_full = meb_radius(P, delta)
     ball_sampled = meb_radius(R.apply(P), delta)
     V_B = thin_svd(np.vstack([P, ball_full.center[None, :]])).V
-    M = R.matrix().T @ V_B
+    M = V_B[R.indices] * R.weights[:, None]  # R^T V_B without the d x r R
     E = V_B.T @ V_B - M.T @ M
     err = spectral_norm(E)
     bound = (1.0 + err) * (1.0 + delta) ** 2 * ball_full.radius**2

@@ -142,10 +142,13 @@ def _select_operator(method, source, V, r, seed, *, C, t, chunk_fraction,
     return SamplingOperator(d, idx, np.ones(idx.size))
 
 
-def _finish_report(method, mode, r, op, source, full_margin_data, *, C,
-                   kkt_tol, seed, meb_delta, compute_radii, n_support):
-    """Shared tail of both protocols: sampled solves, error, radii."""
-    V = thin_svd(source.X).V
+def _finish_report(method, op, source, V, full_margin_data, *, C, kkt_tol,
+                   meb_delta, compute_radii):
+    """Shared tail of both protocols: sampled solves, error, radii.
+
+    V is the right singular basis of source.X; the spectral error of op is
+    measured on it.
+    """
     sampled = LabeledDataset(op.apply(source.X), source.y)
     model_sampled = solve_dual(sampled, C, kkt_tol)
     if full_margin_data is None:
@@ -154,7 +157,7 @@ def _finish_report(method, mode, r, op, source, full_margin_data, *, C,
         full_sampled = LabeledDataset(op.apply(full_margin_data.X), full_margin_data.y)
         margin_sampled_full = solve_dual(full_sampled, C, kkt_tol).margin
     if method in WEIGHTED_METHODS:
-        M = op.matrix().T @ V
+        M = V[op.indices] * op.weights[:, None]  # R^T V without the d x r R
         err = spectral_norm(V.T @ V - M.T @ M)
     else:
         err = None
@@ -163,7 +166,7 @@ def _finish_report(method, mode, r, op, source, full_margin_data, *, C,
         radius_sampled = meb_radius(sampled.X, meb_delta).radius
     else:
         radius_full = radius_sampled = float("nan")
-    return op, model_sampled, margin_sampled_full, err, radius_full, radius_sampled
+    return model_sampled, margin_sampled_full, err, radius_full, radius_sampled
 
 
 def supervised_select(data: LabeledDataset, method: str, r: int, C: float = 1.0,
@@ -189,10 +192,9 @@ def supervised_select(data: LabeledDataset, method: str, r: int, C: float = 1.0,
     V = thin_svd(sv_data.X).V
     op = _select_operator(method, sv_data, V, r, seed, C=C, t=t,
                           chunk_fraction=chunk_fraction, kkt_tol=kkt_tol)
-    op, model_sampled, m_sf, err, rad_f, rad_s = _finish_report(
-        method, "supervised", r, op, sv_data, data, C=C, kkt_tol=kkt_tol,
-        seed=seed, meb_delta=meb_delta, compute_radii=compute_radii,
-        n_support=sv.size)
+    model_sampled, m_sf, err, rad_f, rad_s = _finish_report(
+        method, op, sv_data, V, data, C=C, kkt_tol=kkt_tol,
+        meb_delta=meb_delta, compute_radii=compute_radii)
     return SelectionReport(
         method=method, mode="supervised", r=op.r, operator=op,
         margin_full=sv_model.margin, margin_sampled=model_sampled.margin,
@@ -212,10 +214,9 @@ def unsupervised_select(data: LabeledDataset, method: str, r: int, C: float = 1.
     V = thin_svd(data.X).V
     op = _select_operator(method, data, V, r, seed, C=C, t=t,
                           chunk_fraction=0.1, kkt_tol=kkt_tol)
-    op, model_sampled, m_sf, err, rad_f, rad_s = _finish_report(
-        method, "unsupervised", r, op, data, None, C=C, kkt_tol=kkt_tol,
-        seed=seed, meb_delta=meb_delta, compute_radii=compute_radii,
-        n_support=full_model.support_indices.size)
+    model_sampled, m_sf, err, rad_f, rad_s = _finish_report(
+        method, op, data, V, None, C=C, kkt_tol=kkt_tol,
+        meb_delta=meb_delta, compute_radii=compute_radii)
     return SelectionReport(
         method=method, mode="unsupervised", r=op.r, operator=op,
         margin_full=full_model.margin, margin_sampled=model_sampled.margin,

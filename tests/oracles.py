@@ -2,12 +2,19 @@
 
 Nothing here imports from marginsparse: these are deliberately separate
 code paths (dense eigendecompositions, projected gradient, exhaustive
-enumeration) so agreement is meaningful.
+enumeration, one-row-at-a-time barrier scores) so agreement is meaningful.
 """
 
 import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
+
+
+class BarrierHitError(ArithmeticError):
+    """A shifted barrier sits exactly on an eigenvalue, or a potential
+    difference vanishes, so the oracle's scores are undefined."""
 
 
 def eig_spectral_norm(M):
@@ -110,3 +117,121 @@ def sampled_gram_error(V, indices, weights):
     V = np.asarray(V, dtype=np.float64)
     S = (weights[:, None] * V[indices]).T @ (weights[:, None] * V[indices])
     return eig_spectral_norm(V.T @ V - S)
+
+
+# ------------------------------------------------------------------ BSS
+
+def lower_potential(L, eigenvalues):
+    """sum_i 1/(lambda_i - L); requires the barrier L below the spectrum."""
+    lam = np.asarray(eigenvalues, dtype=np.float64)
+    if lam.size and lam.min() <= L:
+        raise ValueError(f"lower barrier {L} is not below the spectrum (min {lam.min()})")
+    return float(np.sum(1.0 / (lam - L)))
+
+
+def upper_potential(U, eigenvalues):
+    """sum_i 1/(U - lambda_i); requires the barrier U above the spectrum."""
+    lam = np.asarray(eigenvalues, dtype=np.float64)
+    if lam.size and lam.max() >= U:
+        raise ValueError(f"upper barrier {U} is not above the spectrum (max {lam.max()})")
+    return float(np.sum(1.0 / (U - lam)))
+
+
+@dataclass(frozen=True)
+class BarrierState:
+    """Running matrix A = sum t * v v^T with its cached eigendecomposition."""
+
+    A: np.ndarray
+    tau: int
+    eigenvalues: np.ndarray   # ascending
+    eigenvectors: np.ndarray  # columns match eigenvalues
+
+    @classmethod
+    def initial(cls, ell: int) -> "BarrierState":
+        return cls(np.zeros((ell, ell)), 0, np.zeros(ell), np.eye(ell))
+
+    def updated(self, v, t: float) -> "BarrierState":
+        A = self.A + t * np.outer(v, v)
+        A = 0.5 * (A + A.T)
+        lam, W = np.linalg.eigh(A)
+        return BarrierState(A, self.tau + 1, lam, W)
+
+
+def candidate_scores(v, state: BarrierState, L, U, delta_lower, delta_upper):
+    """Lower/upper scores of one candidate row against the current barriers.
+
+    lscore = v^T (A - (L+dL)I)^-2 v / (Phi(L+dL) - Phi(L)) - v^T (A - (L+dL)I)^-1 v
+    uscore = v^T ((U+dU)I - A)^-2 v / (Phihat(U) - Phihat(U+dU)) + v^T ((U+dU)I - A)^-1 v
+
+    Resolvents are applied through the cached eigendecomposition.  The
+    shifted points L+dL / U+dU may sit inside the spectrum as long as they
+    do not hit an eigenvalue exactly.
+    """
+    lam = state.eigenvalues
+    q2 = (state.eigenvectors.T @ np.asarray(v, dtype=np.float64)) ** 2
+    gap_lo = lam - (L + delta_lower)
+    gap_hi = (U + delta_upper) - lam
+    if np.any(gap_lo == 0.0) or np.any(gap_hi == 0.0):
+        raise BarrierHitError("shifted barrier coincides with an eigenvalue")
+    dphi_l = np.sum(1.0 / gap_lo) - np.sum(1.0 / (lam - L))
+    dphi_u = np.sum(1.0 / (U - lam)) - np.sum(1.0 / gap_hi)
+    if dphi_l == 0.0 or dphi_u == 0.0:
+        raise BarrierHitError("degenerate potential difference")
+    lscore = np.sum(q2 / gap_lo**2) / dphi_l - np.sum(q2 / gap_lo)
+    uscore = np.sum(q2 / gap_hi**2) / dphi_u + np.sum(q2 / gap_hi)
+    return float(lscore), float(uscore)
+
+
+@dataclass(frozen=True)
+class BssReplay:
+    indices: np.ndarray
+    step_sizes: np.ndarray
+    rows_scored: int
+    reselections: int
+
+
+def bss_replay(V, r, score_slack, block):
+    """Re-run greedy BSS by scoring every row, one candidate at a time.
+
+    Picks the eligible untaken row of largest squared norm (lowest index
+    among ties), or, when every eligible row is taken, the largest eligible
+    row again.  rows_scored is what a lazy scan in stable descending-norm
+    order with blocks of `block` rows pays: a normal step ends at the block
+    holding its pick (capped at d), a reselection step scores all d rows.
+    """
+    V = np.asarray(V, dtype=np.float64)
+    d, ell = V.shape
+    ratio = math.sqrt(ell / r)
+    delta_upper = (1 + ratio) / (1 - ratio)
+    sqrt_rl = math.sqrt(r * ell)
+    row_sq = np.sum(V * V, axis=1)
+
+    state = BarrierState.initial(ell)
+    taken = np.zeros(d, dtype=bool)
+    indices = np.empty(r, dtype=np.intp)
+    steps = np.empty(r)
+    rows_scored = reselections = 0
+    for tau in range(r):
+        L = tau - sqrt_rl
+        U = delta_upper * (tau + sqrt_rl)
+        scores = np.array(
+            [candidate_scores(V[i], state, L, U, 1.0, delta_upper) for i in range(d)]
+        )
+        lsc, usc = scores[:, 0], scores[:, 1]
+        slack = score_slack * np.maximum(np.abs(lsc), np.abs(usc))
+        eligible = (usc <= lsc + slack) & (usc + lsc > 0)
+        fresh = np.flatnonzero(eligible & ~taken)
+        cand = fresh if fresh.size else np.flatnonzero(eligible)
+        i = cand[np.argmax(row_sq[cand])]
+        if fresh.size:
+            # Position of row i in stable descending-norm order.
+            pos = int(np.sum(row_sq > row_sq[i]) + np.sum(row_sq[:i] == row_sq[i]))
+            rows_scored += min(math.ceil((pos + 1) / block) * block, d)
+        else:
+            reselections += 1
+            rows_scored += d
+        t = 2.0 / (usc[i] + lsc[i])
+        indices[tau], steps[tau] = i, t
+        taken[i] = True
+        state = state.updated(V[i], t)
+    return BssReplay(indices, steps, rows_scored, reselections)

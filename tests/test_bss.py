@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from marginsparse.bss import (
-    SCORE_SLACK,
+from marginsparse.bss import SCORE_BLOCK, SCORE_SLACK, bss_select
+from marginsparse.errors import NumericalError
+
+from oracles import (
+    BarrierHitError,
     BarrierState,
-    bss_select,
+    bss_replay,
     candidate_scores,
     lower_potential,
     upper_potential,
+    sampled_gram_error,
 )
-from marginsparse.errors import NumericalError
-
-from oracles import sampled_gram_error
 
 
 def random_orthonormal(d, ell, seed):
@@ -21,6 +22,9 @@ def random_orthonormal(d, ell, seed):
     Q, _ = np.linalg.qr(rng.standard_normal((d, ell)))
     return Q
 
+
+# The potentials, scores and barrier state below are the one-row-at-a-time
+# reference in oracles.py that the replay tests check bss_select against.
 
 # ---------------------------------------------------------------- potentials
 
@@ -74,9 +78,9 @@ def test_candidate_scores_scale_quadratically():
 
 def test_candidate_scores_reject_eigenvalue_hit():
     state = BarrierState.initial(1)  # spectrum {0}
-    with pytest.raises(NumericalError):
+    with pytest.raises(BarrierHitError):
         candidate_scores([1.0], state, -1.0, 6.0, 1.0, 3.0)  # L + dL = 0
-    with pytest.raises(NumericalError):
+    with pytest.raises(BarrierHitError):
         candidate_scores([1.0], state, -2.0, -3.0, 1.0, 3.0)  # U + dU = 0
 
 
@@ -96,7 +100,8 @@ def test_barrier_state_update():
 def test_identity_embedding_selects_only_live_rows():
     # V = first two columns of I_6: rows 2..5 are zero and never acceptable.
     V = np.eye(6)[:, :2]
-    op = bss_select(V, 8)
+    op, diag = bss_select(V, 8, return_diagnostics=True)
+    assert diag.reselections > 0
     assert set(op.indices.tolist()) <= {0, 1}
     assert set(op.indices.tolist()) == {0, 1}
     s = np.linalg.svd(op.matrix().T @ V, compute_uv=False)
@@ -133,7 +138,9 @@ def test_guarantees_across_shapes(d, ell, r, seed):
     assert s.max() <= 1 + ratio + 1e-9
     assert sampled_gram_error(V, op.indices, op.weights) <= 3 * ratio + 1e-9
     assert diag.eig_count == r
-    assert diag.score_evaluations == r * d
+    replay = bss_replay(V, r, SCORE_SLACK, SCORE_BLOCK)
+    assert diag.score_evaluations == replay.rows_scored
+    assert diag.reselections == replay.reselections
     assert diag.step_sizes.shape == (r,)
     assert np.all(diag.step_sizes > 0)
     assert np.all(np.isfinite(diag.step_sizes))
@@ -156,43 +163,37 @@ def test_weights_follow_step_sizes():
     )
 
 
+def _assert_replay_matches(V, r):
+    op, diag = bss_select(V, r, return_diagnostics=True)
+    replay = bss_replay(V, r, SCORE_SLACK, SCORE_BLOCK)
+    np.testing.assert_array_equal(op.indices, replay.indices)
+    np.testing.assert_allclose(diag.step_sizes, replay.step_sizes, rtol=1e-9)
+    assert diag.score_evaluations == replay.rows_scored
+    assert diag.reselections == replay.reselections
+    return op
+
+
 def test_replay_through_single_candidate_api():
     # Re-run the greedy loop through BarrierState/candidate_scores and check
-    # it reproduces bss_select exactly: same picks, same step sizes.
-    V = random_orthonormal(40, 3, seed=9)
-    d, ell = V.shape
-    r = 15
-    op, diag = bss_select(V, r, return_diagnostics=True)
+    # it reproduces bss_select: same picks, same step sizes, and the rows
+    # the lazy scan scored.  The second V is taller than one score block;
+    # the third has so few rows that most steps reselect a taken row.
+    _assert_replay_matches(random_orthonormal(40, 3, seed=9), 15)
+    _assert_replay_matches(random_orthonormal(400, 3, seed=11), 24)
+    _assert_replay_matches(random_orthonormal(10, 3, seed=13), 40)
 
-    ratio = math.sqrt(ell / r)
-    delta_upper = (1 + ratio) / (1 - ratio)
-    sqrt_rl = math.sqrt(r * ell)
-    row_sq = np.sum(V * V, axis=1)
 
-    state = BarrierState.initial(ell)
-    taken = np.zeros(d, dtype=bool)
-    for tau in range(r):
-        L = tau - sqrt_rl
-        U = delta_upper * (tau + sqrt_rl)
-        scores = np.array(
-            [candidate_scores(V[i], state, L, U, 1.0, delta_upper) for i in range(d)]
-        )
-        lsc, usc = scores[:, 0], scores[:, 1]
-        slack = SCORE_SLACK * np.maximum(np.abs(lsc), np.abs(usc))
-        eligible = (usc <= lsc + slack) & (usc + lsc > 0)
-        cand = np.flatnonzero(eligible & ~taken)
-        if cand.size == 0:
-            cand = np.flatnonzero(eligible)
-        i = cand[np.argmax(row_sq[cand])]
-        t = 2.0 / (usc[i] + lsc[i])
-
-        assert i == op.indices[tau]
-        assert t == pytest.approx(diag.step_sizes[tau], rel=1e-9)
-        # step size splits the two scores: 1/t = (uscore + lscore) / 2
-        assert 1.0 / t == pytest.approx(0.5 * (usc[i] + lsc[i]), rel=1e-12)
-
-        taken[i] = True
-        state = state.updated(V[i], t)
+def test_duplicated_rows_resolve_ties_to_lower_index():
+    # Rows i and i + m are bit-identical, so their norms tie exactly; the
+    # lower index must win, as argmax over ascending candidates does.
+    m = 60
+    Q = random_orthonormal(m, 3, seed=12)
+    V = np.vstack([Q, Q]) / math.sqrt(2.0)
+    r = 24
+    op = _assert_replay_matches(V, r)
+    for tau, i in enumerate(op.indices):
+        if i >= m:
+            assert i - m in op.indices[:tau]
 
 
 def test_rejects_bad_inputs():

@@ -177,6 +177,38 @@ def test_cv_no_full_baseline(capsys, lowrank_path):
 
 # ------------------------------------------------------------------- verify
 
+def test_verify_parser_options():
+    # Pins the verify subcommand's interface: option strings, choices,
+    # required flags and every default.
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    verify = sub.choices["verify"]
+    options = {s: a for a in verify._actions for s in a.option_strings}
+    assert set(options) == {
+        "-h", "--help", "--bound", "--l", "--d", "--r", "--trials", "--data",
+        "--method", "--mode", "--features", "--C", "--seed", "--t",
+        "--chunk-fraction", "--kkt-tol", "--delta", "--out",
+    }
+    assert [a.dest for a in verify._actions if a.required] == ["bound"]
+    assert options["--bound"].choices == ["spectral", "margin", "radius"]
+    assert options["--method"].choices == list(cli.METHODS)
+    assert options["--mode"].choices == ["supervised", "unsupervised"]
+    types = {s: a.type for s, a in options.items() if a.type is not None}
+    assert types == {
+        "--l": int, "--d": int, "--r": int, "--trials": int, "--features": int,
+        "--seed": int, "--t": int, "--C": float, "--chunk-fraction": float,
+        "--kkt-tol": float, "--delta": float,
+    }
+    args = vars(parser.parse_args(["verify", "--bound", "spectral"]))
+    assert args == {
+        "command": "verify", "bound": "spectral", "l": 8, "d": 100, "r": 128,
+        "trials": 50, "data": None, "method": "bss", "mode": "supervised",
+        "features": None, "C": 1.0, "seed": 0, "t": None,
+        "chunk_fraction": 0.1, "kkt_tol": 1e-4, "delta": 1e-3, "out": None,
+        "func": cli.cmd_verify,
+    }
+
+
 def test_verify_spectral(capsys):
     code, out = run_json(capsys, [
         "verify", "--bound", "spectral", "--l", "2", "--r", "16",
