@@ -29,9 +29,9 @@ def main():
     print(f"rank-10 data: n={data.n}, d={data.d}")
 
     # radius: select on the center-augmented right basis
-    V_B = augmented_right_basis(data.X)
-    op = bss_select(V_B, 40)
-    chk = radius_bound_check(data.X, op)
+    basis = augmented_right_basis(data.X)
+    op = bss_select(basis.V, 40)
+    chk = radius_bound_check(basis, op)
     print(f"\nradius with r=40 deterministic selection:")
     print(f"  B full    = {chk.radius_full:.4f}")
     print(f"  B sampled = {chk.radius_sampled:.4f}")

@@ -15,8 +15,8 @@ from .leverage import LeverageDistribution, leverage_scores, leverage_select
 from .sketch import SketchConfig, approx_bss_select, gaussian_sketch
 from .svm import (SvmModel, error_rate, margin, predict, solve_dual,
                   support_vectors)
-from .geometry import (EnclosingBall, RadiusCheck, augmented_right_basis,
-                       meb_radius, radius_bound_check)
+from .geometry import (AugmentedBasis, EnclosingBall, RadiusCheck,
+                       augmented_right_basis, meb_radius, radius_bound_check)
 from .data import (FoldPlan, LabeledDataset, apply_fold, drop_zero_columns,
                    gen_synthetic, load_dataset, make_folds, parse_csv,
                    parse_svmlight, write_svmlight)
@@ -36,7 +36,7 @@ __all__ = [
     "SketchConfig", "gaussian_sketch", "approx_bss_select",
     "SvmModel", "solve_dual", "margin", "support_vectors", "predict", "error_rate",
     "EnclosingBall", "RadiusCheck", "meb_radius", "radius_bound_check",
-    "augmented_right_basis",
+    "AugmentedBasis", "augmented_right_basis",
     "LabeledDataset", "FoldPlan", "parse_svmlight", "write_svmlight", "parse_csv",
     "load_dataset", "gen_synthetic", "make_folds", "apply_fold", "drop_zero_columns",
     "SelectionReport", "BoundReport", "CvCell", "supervised_select",

@@ -206,14 +206,14 @@ def _verify_margin(args):
 
 def _verify_radius(args):
     data = load_dataset(args.data)
-    V_B = augmented_right_basis(data.X, args.delta)
+    basis = augmented_right_basis(data.X, args.delta)
     if args.method == "bss":
-        op = bss_select(V_B, args.features)
+        op = bss_select(basis.V, args.features)
     elif args.method == "leverage":
-        op = leverage_select(V_B, args.features, args.seed)
+        op = leverage_select(basis.V, args.features, args.seed)
     else:
         raise ValueError("radius verification supports methods bss and leverage")
-    chk = radius_bound_check(data.X, op, args.delta)
+    chk = radius_bound_check(basis, op)
     return {
         "schema": SCHEMA,
         "bound": "radius",

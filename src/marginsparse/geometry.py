@@ -81,33 +81,43 @@ class RadiusCheck:
     bound: float
 
 
-def augmented_right_basis(X, delta: float = 1e-3) -> np.ndarray:
+@dataclass(frozen=True)
+class AugmentedBasis:
+    """Data with its enclosing ball and the ball-augmented right basis."""
+
+    points: np.ndarray  # dense X
+    ball: EnclosingBall
+    V: np.ndarray
+
+
+def augmented_right_basis(X, delta: float = 1e-3) -> AugmentedBasis:
     """Right singular basis of X with the MEB center appended as a row.
 
     This is the matrix the radius-preservation argument samples from: the
     guarantee needs the selection to be accurate on the span of the data
-    AND the ball center.
+    AND the ball center.  The record keeps the dense data and the ball so
+    that radius_bound_check reuses them.
     """
     P = to_dense(X)
     ball = meb_radius(P, delta)
-    return thin_svd(np.vstack([P, ball.center[None, :]])).V
+    return AugmentedBasis(P, ball, thin_svd(np.vstack([P, ball.center[None, :]])).V)
 
 
-def radius_bound_check(X, R: SamplingOperator, delta: float = 1e-3) -> RadiusCheck:
+def radius_bound_check(basis: AugmentedBasis, R: SamplingOperator) -> RadiusCheck:
     """Check the sampled-space ball radius against the spectral error bound.
 
-    Computes B on X and B~ on X R, measures E_B on the center-augmented
-    right basis V_B, and tests  B~^2 <= (1 + ||E_B||) (1+delta)^2 B^2.
+    Takes B from basis.ball, computes B~ on X R, measures E_B on the
+    center-augmented right basis V_B, and tests
+    B~^2 <= (1 + ||E_B||) (1+delta)^2 B^2, with delta that of the ball.
     The (1+delta)^2 factor covers the approximation slack of the two ball
-    computations; R must come from the basis of the augmented matrix for
-    the measured ||E_B|| to be the relevant error.
+    computations; R must come from basis.V for the measured ||E_B|| to be
+    the relevant error.
     """
-    P = to_dense(X)
+    P, ball_full, V_B = basis.points, basis.ball, basis.V
     if P.shape[1] != R.n_features:
         raise DataError(f"operator built for {R.n_features} features, data has {P.shape[1]}")
-    ball_full = meb_radius(P, delta)
+    delta = ball_full.delta
     ball_sampled = meb_radius(R.apply(P), delta)
-    V_B = thin_svd(np.vstack([P, ball_full.center[None, :]])).V
     M = V_B[R.indices] * R.weights[:, None]  # R^T V_B without the d x r R
     E = V_B.T @ V_B - M.T @ M
     err = spectral_norm(E)

@@ -18,6 +18,7 @@ something to check.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -47,42 +48,78 @@ def uniform_select(d: int, r: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).choice(d, size=r, replace=False)
 
 
-def rrqr_select(X, r: int) -> np.ndarray:
-    """First r pivot columns of a column-pivoted QR of X."""
+def _per_target(r, results):
+    """A grid call's results as the caller asked: a list for a sequence r;
+    for a scalar r, its one result, or its error raised."""
+    if not np.isscalar(r):
+        return results
+    if isinstance(results[0], Exception):
+        raise results[0]
+    return results[0]
+
+
+def rrqr_select(X, r):
+    """First r pivot columns of a column-pivoted QR of X.
+
+    r may be an int or a sequence of ints.  A sequence shares one QR and
+    returns a list holding, per target, its pivot columns or the ValueError
+    that target alone raised (r larger than the number of columns).
+    """
     M = to_dense(X)
-    if r > M.shape[1]:
-        raise ValueError(f"cannot pick {r} of {M.shape[1]} columns")
-    _, _, piv = scipy.linalg.qr(M, mode="economic", pivoting=True)
-    return piv[:r].astype(np.intp)
+    targets = [r] if np.isscalar(r) else list(r)
+    d = M.shape[1]
+    results = [ValueError(f"cannot pick {rv} of {d} columns") if rv > d else None
+               for rv in targets]
+    if any(res is None for res in results):
+        _, _, piv = scipy.linalg.qr(M, mode="economic", pivoting=True)
+        results = [piv[:rv].astype(np.intp) if res is None else res
+                   for rv, res in zip(targets, results)]
+    return _per_target(r, results)
 
 
-def rfe_select(data: LabeledDataset, r: int, C: float = 1.0,
-               chunk_fraction: float = 0.1, kkt_tol: float = 1e-4) -> np.ndarray:
+def rfe_select(data: LabeledDataset, r, C: float = 1.0,
+               chunk_fraction: float = 0.1, kkt_tol: float = 1e-4):
     """Recursive feature elimination: repeatedly drop the smallest-|w_j| chunk.
 
     Each round solves the dual on the surviving columns and removes the
     max(1, ceil(chunk_fraction * remaining)) features with the smallest
-    absolute weight, until r remain.  Supervised only.
+    absolute weight, capped so that exactly r remain at the end.
+    Supervised only.
+
+    r may be an int or a sequence of ints.  All targets follow one
+    elimination path; a target leaves it at the round whose chunk would
+    reach it, dropping only down to r there, so a sequence costs the
+    solves of its smallest target.  A sequence returns a list holding, per
+    target, the surviving indices or the error that target alone raised:
+    r >= d, or a failed solve before the target was reached.
     """
     if not (0.0 <= chunk_fraction < 1.0):
         raise ValueError("chunk_fraction must be in [0, 1)")
-    if r >= data.d:
-        raise ValueError(f"need r < d, got r={r}, d={data.d}")
+    targets = [r] if np.isscalar(r) else list(r)
+    results = [ValueError(f"need r < d, got r={rv}, d={data.d}") if rv >= data.d else None
+               for rv in targets]
+    pending = [i for i, res in enumerate(results) if res is None]
     X = to_dense(data.X)
     active = np.arange(data.d)
-    while active.size > r:
+    while pending:
         try:
             model = solve_dual(LabeledDataset(X[:, active], data.y), C, kkt_tol)
         except Exception as e:
-            raise NumericalError(
-                f"solver failed with {active.size} features remaining "
-                f"(target {r}): {e}"
-            ) from e
+            for i in pending:
+                results[i] = NumericalError(
+                    f"solver failed with {active.size} features remaining "
+                    f"(target {targets[i]}): {e}")
+                results[i].__cause__ = e
+            break
         k = max(1, math.ceil(chunk_fraction * active.size))
-        k = min(k, active.size - r)
-        drop = np.argsort(np.abs(model.w), kind="stable")[:k]
-        active = np.delete(active, drop)
-    return active
+        order = np.argsort(np.abs(model.w), kind="stable")
+        for i in pending:
+            excess = active.size - targets[i]
+            if excess <= k:
+                results[i] = np.delete(active, order[:excess])
+        pending = [i for i in pending if results[i] is None]
+        active = np.delete(active, order[:k])
+    return _per_target(r, results)
 
 
 @dataclass(frozen=True)
@@ -112,16 +149,41 @@ class SelectionReport:
         return self.operator.weights
 
 
-def _select_operator(method, source, V, r, seed, *, C, t, chunk_fraction,
-                     kkt_tol) -> SamplingOperator:
-    """Dispatch one selection method; source is the matrix V came from."""
-    d = V.shape[0]
+_CELL_ERRORS = (DataError, NumericalError, ValueError)
+
+
+def _attempt(fn, *args, **kwargs):
+    """fn's result, or the error that stops one selection or CV cell."""
+    try:
+        return fn(*args, **kwargs)
+    except _CELL_ERRORS as exc:
+        return exc
+
+
+def _check_mode(mode, method):
+    if mode == "unsupervised" and method == "rfe":
+        raise ValueError("rfe requires supervised mode (it uses the labels)")
+
+
+def _support_vector_set(data: LabeledDataset, full_model: SvmModel) -> LabeledDataset:
+    """The supervised protocol's selection source: full_model's support vectors."""
+    sv = full_model.support_indices
+    if sv.size < 2:
+        raise DataError(f"only {sv.size} support vectors; nothing to select from")
+    sv_data = data.subset(sv)
+    if not sv_data.has_both_classes:
+        raise DataError("support-vector set is single-class; margin undefined")
+    return sv_data
+
+
+def _select_operator(method, source, basis, r, seed, t) -> SamplingOperator:
+    """One selection by a method that takes a single r."""
     if method == "bss":
-        return bss_select(V, r)
+        return bss_select(basis(), r)
     if method == "leverage":
         if seed is None:
             raise ValueError("leverage selection needs a seed")
-        return leverage_select(V, r, seed)
+        return leverage_select(basis(), r, seed)
     if method == "approx-bss":
         if seed is None:
             raise ValueError("approx-bss needs a seed for the sketch")
@@ -131,32 +193,60 @@ def _select_operator(method, source, V, r, seed, *, C, t, chunk_fraction,
     if method == "uniform":
         if seed is None:
             raise ValueError("uniform selection needs a seed")
-        idx = uniform_select(d, r, seed)
-    elif method == "rrqr":
-        idx = rrqr_select(source.X, r)
-    elif method == "rfe":
-        idx = rfe_select(source, r, C=C, chunk_fraction=chunk_fraction,
-                         kkt_tol=kkt_tol)
-    else:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    return SamplingOperator(d, idx, np.ones(idx.size))
+        idx = uniform_select(source.d, r, seed)
+        return SamplingOperator(source.d, idx, np.ones(idx.size))
+    raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
 
 
-def _finish_report(method, op, source, V, full_margin_data, *, C, kkt_tol,
-                   meb_delta, compute_radii):
-    """Shared tail of both protocols: sampled solves, error, radii.
+def _select_operators(method, source, basis, rs, seed, *, C, t, chunk_fraction,
+                      kkt_tol) -> list:
+    """Per r in rs, the operator, or the error that stopped that selection.
 
-    V is the right singular basis of source.X; the spectral error of op is
-    measured on it.
+    source is the dataset selected from; basis() returns the right singular
+    basis V of source.X, computed on first use.  rrqr and rfe run one QR or
+    one elimination path for all of rs.
     """
+    if method == "rrqr":
+        picks = _attempt(rrqr_select, source.X, rs)
+    elif method == "rfe":
+        picks = _attempt(rfe_select, source, rs, C=C,
+                         chunk_fraction=chunk_fraction, kkt_tol=kkt_tol)
+    else:
+        return [_attempt(_select_operator, method, source, basis, r, seed, t)
+                for r in rs]
+    if isinstance(picks, Exception):
+        return [picks] * len(rs)
+    return [idx if isinstance(idx, Exception)
+            else SamplingOperator(source.d, idx, np.ones(idx.size)) for idx in picks]
+
+
+def _recalibrate(op, source, C, kkt_tol):
+    """The sampled source and the SVM solved on it."""
     sampled = LabeledDataset(op.apply(source.X), source.y)
-    model_sampled = solve_dual(sampled, C, kkt_tol)
-    if full_margin_data is None:
+    return sampled, solve_dual(sampled, C, kkt_tol)
+
+
+def _selection_report(method, mode, r, seed, source, margin_full, n_support,
+                      full_data, *, C, t, chunk_fraction, kkt_tol, meb_delta,
+                      compute_radii) -> SelectionReport:
+    """Select from source, recalibrate, and add the report-only pieces.
+
+    Those pieces are the margin of the sampled full_data (when given), the
+    spectral error of weighted methods on source's basis, and the radii.
+    """
+    basis = functools.cache(lambda: thin_svd(source.X).V)
+    [op] = _select_operators(method, source, basis, [r], seed, C=C, t=t,
+                             chunk_fraction=chunk_fraction, kkt_tol=kkt_tol)
+    if isinstance(op, Exception):
+        raise op
+    sampled, model_sampled = _recalibrate(op, source, C, kkt_tol)
+    if full_data is None:
         margin_sampled_full = model_sampled.margin
     else:
-        full_sampled = LabeledDataset(op.apply(full_margin_data.X), full_margin_data.y)
+        full_sampled = LabeledDataset(op.apply(full_data.X), full_data.y)
         margin_sampled_full = solve_dual(full_sampled, C, kkt_tol).margin
     if method in WEIGHTED_METHODS:
+        V = basis()
         M = V[op.indices] * op.weights[:, None]  # R^T V without the d x r R
         err = spectral_norm(V.T @ V - M.T @ M)
     else:
@@ -166,7 +256,13 @@ def _finish_report(method, op, source, V, full_margin_data, *, C, kkt_tol,
         radius_sampled = meb_radius(sampled.X, meb_delta).radius
     else:
         radius_full = radius_sampled = float("nan")
-    return model_sampled, margin_sampled_full, err, radius_full, radius_sampled
+    return SelectionReport(
+        method=method, mode=mode, r=op.r, operator=op, margin_full=margin_full,
+        margin_sampled=model_sampled.margin,
+        margin_sampled_full_data=margin_sampled_full, radius_full=radius_full,
+        radius_sampled=radius_sampled, spectral_error=err, seed=seed,
+        C=float(C), meb_delta=meb_delta, n_support=n_support,
+        model_sampled=model_sampled)
 
 
 def supervised_select(data: LabeledDataset, method: str, r: int, C: float = 1.0,
@@ -181,26 +277,12 @@ def supervised_select(data: LabeledDataset, method: str, r: int, C: float = 1.0,
     converged solve); margin_sampled comes from the recalibrated solve on
     the sampled support-vector set.
     """
-    full_model = solve_dual(data, C, kkt_tol)
-    sv = full_model.support_indices
-    if sv.size < 2:
-        raise DataError(f"only {sv.size} support vectors; nothing to select from")
-    sv_data = data.subset(sv)
-    if not sv_data.has_both_classes:
-        raise DataError("support-vector set is single-class; margin undefined")
+    sv_data = _support_vector_set(data, solve_dual(data, C, kkt_tol))
     sv_model = solve_dual(sv_data, C, kkt_tol)
-    V = thin_svd(sv_data.X).V
-    op = _select_operator(method, sv_data, V, r, seed, C=C, t=t,
-                          chunk_fraction=chunk_fraction, kkt_tol=kkt_tol)
-    model_sampled, m_sf, err, rad_f, rad_s = _finish_report(
-        method, op, sv_data, V, data, C=C, kkt_tol=kkt_tol,
+    return _selection_report(
+        method, "supervised", r, seed, sv_data, sv_model.margin, sv_data.n,
+        data, C=C, t=t, chunk_fraction=chunk_fraction, kkt_tol=kkt_tol,
         meb_delta=meb_delta, compute_radii=compute_radii)
-    return SelectionReport(
-        method=method, mode="supervised", r=op.r, operator=op,
-        margin_full=sv_model.margin, margin_sampled=model_sampled.margin,
-        margin_sampled_full_data=m_sf, radius_full=rad_f, radius_sampled=rad_s,
-        spectral_error=err, seed=seed, C=float(C), meb_delta=meb_delta,
-        n_support=int(sv.size), model_sampled=model_sampled)
 
 
 def unsupervised_select(data: LabeledDataset, method: str, r: int, C: float = 1.0,
@@ -208,22 +290,13 @@ def unsupervised_select(data: LabeledDataset, method: str, r: int, C: float = 1.
                         kkt_tol: float = 1e-4, meb_delta: float = 1e-3,
                         compute_radii: bool = True) -> SelectionReport:
     """Select from the full data matrix; labels are used only to fit SVMs."""
-    if method == "rfe":
-        raise ValueError("rfe requires supervised mode (it uses the labels)")
+    _check_mode("unsupervised", method)
     full_model = solve_dual(data, C, kkt_tol)
-    V = thin_svd(data.X).V
-    op = _select_operator(method, data, V, r, seed, C=C, t=t,
-                          chunk_fraction=0.1, kkt_tol=kkt_tol)
-    model_sampled, m_sf, err, rad_f, rad_s = _finish_report(
-        method, op, data, V, None, C=C, kkt_tol=kkt_tol,
-        meb_delta=meb_delta, compute_radii=compute_radii)
-    return SelectionReport(
-        method=method, mode="unsupervised", r=op.r, operator=op,
-        margin_full=full_model.margin, margin_sampled=model_sampled.margin,
-        margin_sampled_full_data=m_sf, radius_full=rad_f, radius_sampled=rad_s,
-        spectral_error=err, seed=seed, C=float(C), meb_delta=meb_delta,
-        n_support=int(full_model.support_indices.size),
-        model_sampled=model_sampled)
+    return _selection_report(
+        method, "unsupervised", r, seed, data, full_model.margin,
+        int(full_model.support_indices.size), None, C=C, t=t,
+        chunk_fraction=0.1, kkt_tol=kkt_tol, meb_delta=meb_delta,
+        compute_radii=compute_radii)
 
 
 @dataclass(frozen=True)
@@ -314,34 +387,69 @@ def _cv_init(ctx):
     _CV_CTX = ctx
 
 
-def _cv_run(task):
-    method, r, repeat, fold, cell_seed = task
-    data, plan, mode, C, t, chunk_fraction, kkt_tol = _CV_CTX
+def _cv_fold(task):
+    """Every cell of one (repeat, fold): (method, r) cells in grid order,
+    then the full cell when asked for.
+
+    The fold's shared prefix runs once: the full-train solve, which is also
+    the full baseline; in supervised mode the support-vector set; V when a
+    bss or leverage cell reads it; one QR for every rrqr r and one
+    elimination path for every rfe r.  Each selecting cell then adds one
+    sampled solve and its test error.
+    """
+    repeat, fold, cell_seed = task
+    data, plan, methods, r_list, include_full, mode, C, t, chunk_fraction, kkt_tol = _CV_CTX
     train, test = apply_fold(data, plan, repeat, fold)
+    nan = float("nan")
+
+    def cell(method, r, op, fit):
+        """fit is (the data the cell solved on, its model), or the error that skips it."""
+        if isinstance(fit, Exception):
+            return CvCell(method, r, repeat, fold, nan, nan, None, True, str(fit))
+        _, model = fit
+        if op is None:
+            return CvCell(method, r, repeat, fold, error_rate(model, test),
+                          model.margin, None, False)
+        sampled_test = LabeledDataset(op.apply(test.X), test.y)
+        return CvCell(method, r, repeat, fold, error_rate(model, sampled_test),
+                      model.margin, op.selected_features(), False)
+
+    grid = [(m, i) for m in methods for i in range(len(r_list))]
+    if include_full:
+        grid.append(("full", None))
     if not train.has_both_classes:
-        return CvCell(method, r, repeat, fold, float("nan"), float("nan"),
-                      None, True, "single-class training fold")
-    try:
+        skip = DataError("single-class training fold")
+        return [cell(m, None if m == "full" else r_list[i], None, skip) for m, i in grid]
+
+    full_model = _attempt(solve_dual, train, C, kkt_tol)
+    if isinstance(full_model, Exception):
+        full_fit = source = full_model
+    else:
+        full_fit = (train, full_model)
+        source = (_attempt(_support_vector_set, train, full_model)
+                  if mode == "supervised" else train)
+    basis = functools.cache(lambda: thin_svd(source.X).V)
+    selections = {}
+    for method in dict.fromkeys(methods):
         if method == "full":
-            model = solve_dual(train, C, kkt_tol)
-            err = error_rate(model, test)
-            return CvCell(method, None, repeat, fold, err, model.margin,
-                          None, False)
-        if mode == "supervised":
-            rep = supervised_select(train, method, r, C=C, seed=cell_seed,
-                                    t=t, chunk_fraction=chunk_fraction,
-                                    kkt_tol=kkt_tol, compute_radii=False)
+            continue
+        refusal = _attempt(_check_mode, mode, method)
+        if refusal is None and not isinstance(source, Exception):
+            selections[method] = _select_operators(
+                method, source, basis, r_list, cell_seed, C=C, t=t,
+                chunk_fraction=chunk_fraction, kkt_tol=kkt_tol)
         else:
-            rep = unsupervised_select(train, method, r, C=C, seed=cell_seed,
-                                      t=t, kkt_tol=kkt_tol,
-                                      compute_radii=False)
-        sampled_test = LabeledDataset(rep.operator.apply(test.X), test.y)
-        err = error_rate(rep.model_sampled, sampled_test)
-        return CvCell(method, r, repeat, fold, err, rep.margin_sampled,
-                      rep.operator.selected_features(), False)
-    except (DataError, NumericalError, ValueError) as exc:
-        return CvCell(method, r, repeat, fold, float("nan"), float("nan"),
-                      None, True, str(exc))
+            selections[method] = [refusal or source] * len(r_list)
+
+    cells = []
+    for method, i in grid:
+        if method == "full":
+            cells.append(cell(method, None, None, full_fit))
+            continue
+        op = selections[method][i]
+        fit = op if isinstance(op, Exception) else _attempt(_recalibrate, op, source, C, kkt_tol)
+        cells.append(cell(method, r_list[i], op, fit))
+    return cells
 
 
 def cv_experiment(data: LabeledDataset, methods, r, folds: int = 10,
@@ -351,34 +459,40 @@ def cv_experiment(data: LabeledDataset, methods, r, folds: int = 10,
                   include_full: bool = False, workers: int = 1):
     """Run a (method x r) grid of repeated k-fold cross-validation.
 
+    The unit of work is one (repeat, fold).  Its shared work runs once for
+    all of its cells: the split, the full-train solve (which also gives the
+    full baseline cell), the support-vector set, the right singular basis
+    (only for bss and leverage cells), one pivoted QR for all rrqr r and
+    one RFE elimination path for all rfe r.  Each selecting cell then costs
+    one selection, one sampled solve and its test error.
+
     The per-cell selection seed is derived from (seed, repeat, fold) with a
-    seed sequence, so cells are reproducible independently of execution
-    order and worker count.  Returns a flat list of CvCell.
+    seed sequence, as in a cell-at-a-time run, so cells are reproducible
+    independently of execution order and worker count; workers > 1 maps
+    folds over a process pool.  Returns a flat list of CvCell ordered by
+    (method, r, repeat, fold), then the full cells by (repeat, fold).
     """
     if isinstance(methods, str):
         methods = [methods]
     r_list = [r] if np.isscalar(r) else list(r)
     plan = make_folds(data.n, folds, repeats, seed)
     tasks = []
-    for method in methods:
-        for rv in r_list:
-            for repeat in range(repeats):
-                for fold in range(folds):
-                    ss = np.random.SeedSequence(seed, spawn_key=(repeat, fold))
-                    cell_seed = int(ss.generate_state(1)[0])
-                    tasks.append((method, rv, repeat, fold, cell_seed))
-    if include_full:
-        for repeat in range(repeats):
-            for fold in range(folds):
-                tasks.append(("full", None, repeat, fold, 0))
+    for repeat in range(repeats):
+        for fold in range(folds):
+            ss = np.random.SeedSequence(seed, spawn_key=(repeat, fold))
+            tasks.append((repeat, fold, int(ss.generate_state(1)[0])))
 
-    ctx = (data, plan, mode, C, t, chunk_fraction, kkt_tol)
+    ctx = (data, plan, list(methods), r_list, include_full, mode, C, t,
+           chunk_fraction, kkt_tol)
     if workers <= 1:
         _cv_init(ctx)
-        return [_cv_run(tk) for tk in tasks]
-    with ProcessPoolExecutor(max_workers=workers, initializer=_cv_init,
-                             initargs=(ctx,)) as pool:
-        return list(pool.map(_cv_run, tasks, chunksize=8))
+        per_fold = [_cv_fold(task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_cv_init,
+                                 initargs=(ctx,)) as pool:
+            per_fold = list(pool.map(_cv_fold, tasks))
+    return [fold_cells[j] for j in range(len(per_fold[0]))
+            for fold_cells in per_fold]
 
 
 def summarize_cv(cells):

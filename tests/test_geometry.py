@@ -78,7 +78,7 @@ def test_delta_validation():
 def test_identity_sampling_passes_exactly():
     rng = np.random.default_rng(32)
     X = rng.standard_normal((10, 6))
-    chk = radius_bound_check(X, SamplingOperator.identity(6))
+    chk = radius_bound_check(augmented_right_basis(X), SamplingOperator.identity(6))
     assert chk.passed
     assert chk.spectral_error <= 1e-9
     assert chk.radius_sampled == pytest.approx(chk.radius_full, rel=1e-9)
@@ -89,10 +89,10 @@ def test_low_rank_synthetic_with_deterministic_selection():
     # center-augmented basis keeps the sampled ball within the bound.
     rng = np.random.default_rng(33)
     X = rng.standard_normal((40, 10)) @ rng.standard_normal((10, 200))
-    V_B = augmented_right_basis(X)
-    assert V_B.shape[1] <= 11
-    op = bss_select(V_B, r=40)
-    chk = radius_bound_check(X, op)
+    basis = augmented_right_basis(X)
+    assert basis.V.shape[1] <= 11
+    op = bss_select(basis.V, r=40)
+    chk = radius_bound_check(basis, op)
     assert chk.passed
     assert chk.radius_sampled**2 <= (1 + chk.spectral_error) * (1 + 1e-3) ** 2 \
         * chk.radius_full**2 * (1 + 1e-9)
@@ -100,11 +100,11 @@ def test_low_rank_synthetic_with_deterministic_selection():
 
 def test_two_point_leverage_sampling():
     X = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    V_B = augmented_right_basis(X)
+    basis = augmented_right_basis(X)
     held = 0
     for seed in range(20):
-        op = leverage_select(V_B, r=64, seed=seed)
-        chk = radius_bound_check(X, op)
+        op = leverage_select(basis.V, r=64, seed=seed)
+        chk = radius_bound_check(basis, op)
         if chk.spectral_error < 1.0:
             held += 1
             assert chk.passed, seed
@@ -113,4 +113,5 @@ def test_two_point_leverage_sampling():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(DataError):
-        radius_bound_check(np.zeros((3, 4)), SamplingOperator.identity(5))
+        radius_bound_check(augmented_right_basis(np.zeros((3, 4))),
+                           SamplingOperator.identity(5))

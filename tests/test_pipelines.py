@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from marginsparse.data import LabeledDataset, gen_synthetic
+from marginsparse.data import LabeledDataset, apply_fold, gen_synthetic, make_folds
+from marginsparse.errors import DataError, NumericalError
 from marginsparse.operators import SamplingOperator
 from marginsparse.pipelines import (
     BoundReport,
+    CvCell,
     SelectionReport,
     cv_experiment,
     feature_frequencies,
@@ -18,7 +20,7 @@ from marginsparse.pipelines import (
     unsupervised_select,
     verify_margin_bound,
 )
-from marginsparse.svm import solve_dual
+from marginsparse.svm import error_rate, solve_dual
 
 
 def rank_limited(n, d, rank, seed, push=2.0):
@@ -292,3 +294,151 @@ def test_feature_frequencies_counts_are_bounded():
     assert counts.shape == (10,)
     assert counts.max() <= len(live)
     assert counts.sum() >= len(live)  # every cell selects at least one feature
+
+
+# ------------------------------------------------- cv against the per-cell oracle
+
+def per_cell_cv(data, methods, r, folds, repeats, seed, C=1.0, mode="supervised",
+                t=None, chunk_fraction=0.1, kkt_tol=1e-4, include_full=False):
+    """Cell-at-a-time CV: every (method, r, repeat, fold) cell from scratch
+    through supervised_select / unsupervised_select, in cv_experiment's
+    documented order and with its per-(repeat, fold) selection seed."""
+    r_list = [r] if np.isscalar(r) else list(r)
+    plan = make_folds(data.n, folds, repeats, seed)
+
+    def run(method, r, repeat, fold, cell_seed):
+        train, test = apply_fold(data, plan, repeat, fold)
+        if not train.has_both_classes:
+            return CvCell(method, r, repeat, fold, float("nan"), float("nan"),
+                          None, True, "single-class training fold")
+        try:
+            if method == "full":
+                model = solve_dual(train, C, kkt_tol)
+                return CvCell(method, None, repeat, fold, error_rate(model, test),
+                              model.margin, None, False)
+            if mode == "supervised":
+                rep = supervised_select(train, method, r, C=C, seed=cell_seed, t=t,
+                                        chunk_fraction=chunk_fraction,
+                                        kkt_tol=kkt_tol, compute_radii=False)
+            else:
+                rep = unsupervised_select(train, method, r, C=C, seed=cell_seed,
+                                          t=t, kkt_tol=kkt_tol, compute_radii=False)
+            sampled_test = LabeledDataset(rep.operator.apply(test.X), test.y)
+            return CvCell(method, r, repeat, fold,
+                          error_rate(rep.model_sampled, sampled_test),
+                          rep.margin_sampled, rep.operator.selected_features(), False)
+        except (DataError, NumericalError, ValueError) as exc:
+            return CvCell(method, r, repeat, fold, float("nan"), float("nan"),
+                          None, True, str(exc))
+
+    def fold_seed(repeat, fold):
+        ss = np.random.SeedSequence(seed, spawn_key=(repeat, fold))
+        return int(ss.generate_state(1)[0])
+
+    cells = [run(m, rv, rep, f, fold_seed(rep, f)) for m in methods for rv in r_list
+             for rep in range(repeats) for f in range(folds)]
+    if include_full:
+        cells += [run("full", None, rep, f, 0) for rep in range(repeats)
+                  for f in range(folds)]
+    return cells
+
+
+def assert_same_cells(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.method, a.r, a.repeat, a.fold, a.skipped, a.reason) == \
+            (b.method, b.r, b.repeat, b.fold, b.skipped, b.reason)
+        np.testing.assert_array_equal(a.error, b.error)  # NaN == NaN here
+        np.testing.assert_array_equal(a.margin_sampled, b.margin_sampled)
+        if b.selected is None:
+            assert a.selected is None
+        else:
+            np.testing.assert_array_equal(a.selected, b.selected)
+
+
+def few_positives(n=18, d=8, positives=(0, 7), seed=0):
+    """Two positives in 18 points: some training folds lose both."""
+    rng = np.random.default_rng(seed)
+    y = -np.ones(n)
+    y[list(positives)] = 1.0
+    X = rng.standard_normal((n, d)) + 1.5 * y[:, None] * (np.arange(d) < 3)
+    return LabeledDataset(X, y)
+
+
+@pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
+def test_cv_matches_per_cell_oracle(mode):
+    # d = 8 and r in (3, 6, 9): r = 9 is out of range for uniform, rrqr and
+    # rfe, r = 3 is at most ell for bss and approx-bss, and rfe leaves its
+    # elimination path at two different rounds.
+    data = few_positives()
+    kw = dict(methods=("bss", "leverage", "approx-bss", "uniform", "rrqr", "rfe"),
+              r=(3, 6, 9), folds=3, repeats=3, seed=3, mode=mode, t=3,
+              include_full=True)
+    want = per_cell_cv(data, **kw)
+    reasons = {c.reason for c in want}
+    assert "single-class training fold" in reasons
+    assert "cannot pick 9 of 8 columns" in reasons
+    assert any(c.method == "bss" and c.reason.startswith("need r > ell") for c in want)
+    live = {c.method for c in want if not c.skipped}
+    assert live == {"full", *kw["methods"]} - ({"rfe"} if mode == "unsupervised" else set())
+    for workers in (1, 2):
+        assert_same_cells(cv_experiment(data, workers=workers, **kw), want)
+
+
+def test_cv_matches_per_cell_oracle_with_repeated_entries():
+    # a method named twice, "full" inside the grid and an unsorted r list
+    data = rank_limited(20, 10, rank=4, seed=20)
+    kw = dict(methods=("rfe", "full", "rfe", "rrqr"), r=(7, 2), folds=4,
+              repeats=1, seed=5, chunk_fraction=0.0, include_full=False)
+    assert_same_cells(cv_experiment(data, **kw), per_cell_cv(data, **kw))
+
+
+# --------------------------------------------------------------- grid forms
+
+def test_rfe_grid_equals_separate_calls():
+    data = gen_synthetic(n=30, d=40, k=5, seed=21)
+    for chunk in (0.1, 0.3, 0.0):
+        # the targets leave the shared path at different rounds
+        targets = [25, 3, 31, 40, 25]
+        got = rfe_select(data, targets, chunk_fraction=chunk)
+        assert len(got) == len(targets)
+        for rv, idx in zip(targets, got):
+            if rv >= data.d:
+                assert isinstance(idx, ValueError)
+                assert str(idx) == f"need r < d, got r={rv}, d={data.d}"
+                with pytest.raises(ValueError, match="need r < d"):
+                    rfe_select(data, rv, chunk_fraction=chunk)
+            else:
+                np.testing.assert_array_equal(
+                    idx, rfe_select(data, rv, chunk_fraction=chunk))
+    with pytest.raises(ValueError, match="chunk_fraction"):
+        rfe_select(data, [3, 5], chunk_fraction=1.0)
+
+
+def test_rfe_grid_solver_failure_keeps_reached_targets(monkeypatch):
+    import marginsparse.pipelines as pipelines
+
+    data = gen_synthetic(n=30, d=20, k=4, seed=22)
+    real = pipelines.solve_dual
+
+    def failing(sub, *args, **kwargs):
+        if sub.d < 12:
+            raise NumericalError("boom")
+        return real(sub, *args, **kwargs)
+
+    monkeypatch.setattr(pipelines, "solve_dual", failing)
+    reached, lost = rfe_select(data, [15, 5], chunk_fraction=0.2)
+    np.testing.assert_array_equal(reached, rfe_select(data, 15, chunk_fraction=0.2))
+    assert isinstance(lost, NumericalError)
+    with pytest.raises(NumericalError) as alone:
+        rfe_select(data, 5, chunk_fraction=0.2)
+    assert str(lost) == str(alone.value)
+    assert "(target 5)" in str(lost) and "boom" in str(lost)
+
+
+def test_rrqr_grid_equals_separate_calls():
+    X = np.random.default_rng(23).standard_normal((6, 9))
+    a, b, c = rrqr_select(X, [4, 9, 10])
+    np.testing.assert_array_equal(a, rrqr_select(X, 4))
+    np.testing.assert_array_equal(b, rrqr_select(X, 9))
+    assert isinstance(c, ValueError) and str(c) == "cannot pick 10 of 9 columns"
