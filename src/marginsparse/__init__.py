@@ -13,8 +13,7 @@ from .operators import SamplingOperator
 from .bss import BssDiagnostics, bss_select
 from .leverage import LeverageDistribution, leverage_scores, leverage_select
 from .sketch import SketchConfig, approx_bss_select, gaussian_sketch
-from .svm import (SvmModel, error_rate, margin, predict, solve_dual,
-                  support_vectors)
+from .svm import SvmModel, error_rate, predict, solve_dual
 from .geometry import (AugmentedBasis, EnclosingBall, RadiusCheck,
                        augmented_right_basis, meb_radius, radius_bound_check)
 from .data import (FoldPlan, LabeledDataset, apply_fold, drop_zero_columns,
@@ -34,7 +33,7 @@ __all__ = [
     "BssDiagnostics", "bss_select",
     "LeverageDistribution", "leverage_scores", "leverage_select",
     "SketchConfig", "gaussian_sketch", "approx_bss_select",
-    "SvmModel", "solve_dual", "margin", "support_vectors", "predict", "error_rate",
+    "SvmModel", "solve_dual", "predict", "error_rate",
     "EnclosingBall", "RadiusCheck", "meb_radius", "radius_bound_check",
     "AugmentedBasis", "augmented_right_basis",
     "LabeledDataset", "FoldPlan", "parse_svmlight", "write_svmlight", "parse_csv",

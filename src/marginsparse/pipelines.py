@@ -43,6 +43,8 @@ METHODS = WEIGHTED_METHODS + BASELINE_METHODS
 
 def uniform_select(d: int, r: int, seed: int) -> np.ndarray:
     """r distinct feature indices, uniform without replacement."""
+    if r < 1:
+        raise ValueError(f"need r >= 1, got r={r}")
     if r > d:
         raise ValueError(f"cannot pick {r} of {d} features without replacement")
     return np.random.default_rng(seed).choice(d, size=r, replace=False)
@@ -63,12 +65,14 @@ def rrqr_select(X, r):
 
     r may be an int or a sequence of ints.  A sequence shares one QR and
     returns a list holding, per target, its pivot columns or the ValueError
-    that target alone raised (r larger than the number of columns).
+    that target alone raised (r below 1 or above the number of columns).
     """
     M = to_dense(X)
     targets = [r] if np.isscalar(r) else list(r)
     d = M.shape[1]
-    results = [ValueError(f"cannot pick {rv} of {d} columns") if rv > d else None
+    results = [ValueError(f"need r >= 1, got r={rv}") if rv < 1
+               else ValueError(f"cannot pick {rv} of {d} columns") if rv > d
+               else None
                for rv in targets]
     if any(res is None for res in results):
         _, _, piv = scipy.linalg.qr(M, mode="economic", pivoting=True)
@@ -91,12 +95,14 @@ def rfe_select(data: LabeledDataset, r, C: float = 1.0,
     reach it, dropping only down to r there, so a sequence costs the
     solves of its smallest target.  A sequence returns a list holding, per
     target, the surviving indices or the error that target alone raised:
-    r >= d, or a failed solve before the target was reached.
+    r < 1, r >= d, or a failed solve before the target was reached.
     """
     if not (0.0 <= chunk_fraction < 1.0):
         raise ValueError("chunk_fraction must be in [0, 1)")
     targets = [r] if np.isscalar(r) else list(r)
-    results = [ValueError(f"need r < d, got r={rv}, d={data.d}") if rv >= data.d else None
+    results = [ValueError(f"need r >= 1, got r={rv}") if rv < 1
+               else ValueError(f"need r < d, got r={rv}, d={data.d}") if rv >= data.d
+               else None
                for rv in targets]
     pending = [i for i, res in enumerate(results) if res is None]
     X = to_dense(data.X)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError
 from .data import LabeledDataset
 from .linalg import is_sparse, to_dense
 
@@ -34,17 +34,7 @@ class SvmModel:
     objective: float
     converged: bool
     kkt_gap: float
-
-
-def margin(model: SvmModel) -> float:
-    """Geometric margin 1/||w||; rejects degenerate zero-weight models."""
-    if not np.isfinite(model.margin):
-        raise NumericalError("degenerate model: w = 0 has no margin")
-    return model.margin
-
-
-def support_vectors(model: SvmModel) -> np.ndarray:
-    return model.support_indices
+    steps: int  # pair updates taken
 
 
 def predict(model: SvmModel, X) -> np.ndarray:
@@ -63,6 +53,8 @@ def solve_dual(data: LabeledDataset, C: float = 1.0, kkt_tol: float = 1e-4,
     """Solve the dual on (X, y); max_passes counts epochs of n pair updates."""
     if C <= 0:
         raise DataError("C must be positive")
+    if kkt_tol < 0:
+        raise DataError("kkt_tol must be non-negative")
     if data.n < 2:
         raise DataError("need at least two points")
     if not data.has_both_classes:
@@ -76,53 +68,59 @@ def solve_dual(data: LabeledDataset, C: float = 1.0, kkt_tol: float = 1e-4,
     K = X @ X.T
     Kdiag = np.diag(K).copy()
 
-    alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of 1/2 a'Qa - 1'a at a = 0
+    alpha = [0.0] * n
+    neg_yg = np.array(y, dtype=np.float64)  # y_i - w.x_i at w = 0
     pos = y > 0
+    up = pos.copy()  # alpha_i can rise along y_i: positives below C, negatives above 0
+    low = ~pos  # alpha_i can fall along y_i
+    y_list, pos_list, Kdiag_list = y.tolist(), pos.tolist(), Kdiag.tolist()
 
     converged = False
     gap = np.inf
-    for _ in range(max_passes):
-        for _ in range(n):
-            neg_yg = -y * grad  # equals y_i - w.x_i
-            up = np.where(pos, alpha < C, alpha > 0)
-            low = np.where(pos, alpha > 0, alpha < C)
-            if not up.any() or not low.any():
-                converged = True
-                gap = 0.0
-                break
-            up_idx = np.flatnonzero(up)
-            i = up_idx[np.argmax(neg_yg[up_idx])]
-            m_val = neg_yg[i]
-            low_idx = np.flatnonzero(low)
-            M_val = np.min(neg_yg[low_idx])
-            gap = m_val - M_val
-            if gap <= kkt_tol:
-                converged = True
-                break
-            # Second-order partner: maximize (violation)^2 / curvature over
-            # the points on the low side that actually violate against i.
-            viol = m_val - neg_yg[low_idx]
-            mask = viol > 0
-            cand = low_idx[mask]
-            bvec = viol[mask]
-            avec = Kdiag[i] + Kdiag[cand] - 2.0 * K[i, cand]
-            avec = np.maximum(avec, 1e-12)
-            j = cand[np.argmax(bvec * bvec / avec)]
-
-            # Exact 2-variable solve along a + s(y_i e_i - y_j e_j).
-            a_ij = max(Kdiag[i] + Kdiag[j] - 2.0 * K[i, j], 1e-12)
-            s = (m_val - neg_yg[j]) / a_ij
-            s_max_i = (C - alpha[i]) if pos[i] else alpha[i]
-            s_max_j = alpha[j] if pos[j] else (C - alpha[j])
-            s = min(s, s_max_i, s_max_j)
-            di = y[i] * s
-            dj = -y[j] * s
-            alpha[i] = min(max(alpha[i] + di, 0.0), C)
-            alpha[j] = min(max(alpha[j] + dj, 0.0), C)
-            grad += (y[i] * di) * (y * K[i]) + (y[j] * dj) * (y * K[j])
-        if converged:
+    steps = 0
+    for _ in range(max_passes * n):
+        # argmax/argmin return the first extreme index, as over an ascending
+        # index gather.  neg_yg is finite, so a side is empty exactly when its
+        # pick falls outside its mask.
+        i = int(np.where(up, neg_yg, -np.inf).argmax())
+        low_vals = np.where(low, neg_yg, np.inf)
+        k = int(low_vals.argmin())
+        if not (up[i] and low[k]):
+            converged = True
+            gap = 0.0
             break
+        m_val = float(neg_yg[i])
+        gap = m_val - float(low_vals[k])
+        if gap <= kkt_tol:
+            converged = True
+            break
+        # Second-order partner: maximize (violation)^2 / curvature over the
+        # points on the low side that violate against i (viol = -inf off it).
+        # With kkt_tol >= 0, k is such a point, so a candidate always wins
+        # over the -inf scores.
+        viol = m_val - low_vals
+        Ki = K[i]
+        curv = np.maximum(Kdiag_list[i] + Kdiag - 2.0 * Ki, 1e-12)
+        j = int(np.where(viol > 0, viol * viol / curv, -np.inf).argmax())
+
+        # Exact 2-variable solve along a + s(y_i e_i - y_j e_j).
+        s = float(viol[j]) / float(curv[j])
+        s_max_i = (C - alpha[i]) if pos_list[i] else alpha[i]
+        s_max_j = alpha[j] if pos_list[j] else (C - alpha[j])
+        s = min(s, s_max_i, s_max_j)
+        di = y_list[i] * s
+        dj = -y_list[j] * s
+        alpha[i] = min(max(alpha[i] + di, 0.0), C)
+        alpha[j] = min(max(alpha[j] + dj, 0.0), C)
+        # Keeps neg_yg = -y * (gradient of 1/2 a'Qa - 1'a) to the last bit:
+        # y = +-1, and sign flips commute with rounding.
+        neg_yg -= (y_list[i] * di) * Ki + (y_list[j] * dj) * K[j]
+        for t in (i, j):
+            below_c, above_0 = alpha[t] < C, alpha[t] > 0
+            up[t] = below_c if pos_list[t] else above_0
+            low[t] = above_0 if pos_list[t] else below_c
+        steps += 1
+    alpha = np.array(alpha, dtype=np.float64)
 
     w = X.T @ (y * alpha)
     neg_yg = y - X @ w  # recomputed exactly: y_i - w.x_i
@@ -143,4 +141,4 @@ def solve_dual(data: LabeledDataset, C: float = 1.0, kkt_tol: float = 1e-4,
     support = np.flatnonzero(alpha > sv_threshold)
     return SvmModel(alpha=alpha, w=w, b=b, support_indices=support,
                     margin=gamma, C=float(C), objective=objective,
-                    converged=converged, kkt_gap=float(gap))
+                    converged=converged, kkt_gap=float(gap), steps=steps)

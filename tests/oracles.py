@@ -2,7 +2,8 @@
 
 Nothing here imports from marginsparse: these are deliberately separate
 code paths (dense eigendecompositions, projected gradient, exhaustive
-enumeration, one-row-at-a-time barrier scores) so agreement is meaningful.
+enumeration, one-row-at-a-time barrier scores, the gather-based SMO loop)
+so agreement is meaningful.
 """
 
 import itertools
@@ -75,6 +76,98 @@ def qp_dual_solve(X, y, C, iters=30000, tol=1e-14):
             break
     obj = float(a.sum() - 0.5 * (a @ Q @ a))
     return a, obj
+
+
+@dataclass(frozen=True)
+class SmoResult:
+    alpha: np.ndarray
+    w: np.ndarray
+    b: float
+    objective: float
+    converged: bool
+    kkt_gap: float
+    steps: int
+
+
+def smo_reference(X, y, C, kkt_tol=1e-4, max_passes=None):
+    """The SMO loop with index gathers and a tracked gradient, one pair step
+    at a time: the reference for the incremental loop in solve_dual.
+
+    Same working-set rule (maximal violator i, second-order partner j over
+    the low-side points violating against i), same two-variable solve, and
+    the same w, b and objective afterwards; steps counts pair updates.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = y.size
+    if max_passes is None:
+        max_passes = 10 * n
+    K = X @ X.T
+    Kdiag = np.diag(K).copy()
+
+    alpha = np.zeros(n)
+    grad = -np.ones(n)  # gradient of 1/2 a'Qa - 1'a at a = 0
+    pos = y > 0
+
+    converged = False
+    gap = np.inf
+    steps = 0
+    for _ in range(max_passes):
+        for _ in range(n):
+            neg_yg = -y * grad  # equals y_i - w.x_i
+            up = np.where(pos, alpha < C, alpha > 0)
+            low = np.where(pos, alpha > 0, alpha < C)
+            if not up.any() or not low.any():
+                converged = True
+                gap = 0.0
+                break
+            up_idx = np.flatnonzero(up)
+            i = up_idx[np.argmax(neg_yg[up_idx])]
+            m_val = neg_yg[i]
+            low_idx = np.flatnonzero(low)
+            M_val = np.min(neg_yg[low_idx])
+            gap = m_val - M_val
+            if gap <= kkt_tol:
+                converged = True
+                break
+            viol = m_val - neg_yg[low_idx]
+            mask = viol > 0
+            cand = low_idx[mask]
+            bvec = viol[mask]
+            avec = Kdiag[i] + Kdiag[cand] - 2.0 * K[i, cand]
+            avec = np.maximum(avec, 1e-12)
+            j = cand[np.argmax(bvec * bvec / avec)]
+
+            a_ij = max(Kdiag[i] + Kdiag[j] - 2.0 * K[i, j], 1e-12)
+            s = (m_val - neg_yg[j]) / a_ij
+            s_max_i = (C - alpha[i]) if pos[i] else alpha[i]
+            s_max_j = alpha[j] if pos[j] else (C - alpha[j])
+            s = min(s, s_max_i, s_max_j)
+            di = y[i] * s
+            dj = -y[j] * s
+            alpha[i] = min(max(alpha[i] + di, 0.0), C)
+            alpha[j] = min(max(alpha[j] + dj, 0.0), C)
+            grad += (y[i] * di) * (y * K[i]) + (y[j] * dj) * (y * K[j])
+            steps += 1
+        if converged:
+            break
+
+    w = X.T @ (y * alpha)
+    neg_yg = y - X @ w
+    sv_threshold = 1e-6 * C
+    free = (alpha > sv_threshold) & (alpha < C - sv_threshold)
+    if free.any():
+        b = float(np.mean(neg_yg[free]))
+    else:
+        up = np.where(pos, alpha < C, alpha > 0)
+        low = np.where(pos, alpha > 0, alpha < C)
+        hi = np.max(neg_yg[up]) if up.any() else 0.0
+        lo = np.min(neg_yg[low]) if low.any() else 0.0
+        b = float(0.5 * (hi + lo))
+    norm_w = float(np.linalg.norm(w))
+    objective = float(alpha.sum() - 0.5 * norm_w**2)
+    return SmoResult(alpha=alpha, w=w, b=b, objective=objective,
+                     converged=converged, kkt_gap=float(gap), steps=steps)
 
 
 def exhaustive_meb(P):

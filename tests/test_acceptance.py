@@ -29,7 +29,7 @@ from marginsparse.pipelines import (
     verify_margin_bound,
 )
 from marginsparse.sketch import approx_bss_select
-from marginsparse.svm import error_rate, solve_dual, support_vectors
+from marginsparse.svm import error_rate, solve_dual
 
 from conftest import record_criterion
 from oracles import exhaustive_meb, qp_dual_solve
@@ -68,7 +68,7 @@ def _overlap_data(seed, n=120, d=200):
 
 def _sv_rank(data, C=1.0):
     model = solve_dual(data, C)
-    sv = data.subset(support_vectors(model))
+    sv = data.subset(model.support_indices)
     return thin_svd(sv.X).rank
 
 
@@ -304,7 +304,7 @@ def test_criterion_09_sketch_trend():
         for fold in range(5):
             train, test = apply_fold(data, plan, 0, fold)
             model = solve_dual(train, 1.0)
-            sv = train.subset(support_vectors(model))
+            sv = train.subset(model.support_indices)
             ell = thin_svd(sv.X).rank
             r = 2 * ell
             ops = {

@@ -10,7 +10,7 @@ import pytest
 
 import marginsparse
 from marginsparse import cli
-from marginsparse.data import LabeledDataset, write_svmlight
+from marginsparse.data import LabeledDataset, gen_synthetic, write_svmlight
 
 
 @pytest.fixture()
@@ -288,17 +288,37 @@ def test_console_entry_point(tmp_path):
     module, func = _console_entry_point()
     code = (f"import sys; sys.argv[0] = 'marginsparse'; "
             f"from {module} import {func}; sys.exit({func}())")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "synth", "--n", "4", "--d", "3",
+         "--k", "1", "--seed", "0"],
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 4
+
+
+def _child_env():
+    """os.environ with the imported package's directory on PYTHONPATH."""
     env = dict(os.environ)
     package_root = str(Path(marginsparse.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
+@pytest.mark.parametrize("method", ["rrqr", "rfe", "uniform"])
+def test_nonpositive_r_is_usage_error(tmp_path, method):
+    """--features -3 exits 2.  Run in a child process with a timeout, so
+    that an endless rfe elimination loop fails instead of hanging."""
+    path = tmp_path / "six.svm"
+    path.write_text(write_svmlight(gen_synthetic(20, 6, 2, seed=1)))
     proc = subprocess.run(
-        [sys.executable, "-c", code, "synth", "--n", "4", "--d", "3",
-         "--k", "1", "--seed", "0"],
-        capture_output=True, text=True, cwd=tmp_path, env=env,
+        [sys.executable, "-m", "marginsparse.cli", "select", "--data", str(path),
+         "--method", method, "--features", "-3"],
+        capture_output=True, text=True, cwd=tmp_path, env=_child_env(), timeout=60,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert len(proc.stdout.splitlines()) == 4
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stderr)["error"]["message"] == "need r >= 1, got r=-3"
 
 
 @pytest.mark.skipif(shutil.which("marginsparse") is None,

@@ -436,6 +436,25 @@ def test_rfe_grid_solver_failure_keeps_reached_targets(monkeypatch):
     assert "(target 5)" in str(lost) and "boom" in str(lost)
 
 
+def test_nonpositive_r_rejected():
+    # rfe at r < 0 is tested through the CLI in a child process with a
+    # timeout: a regression there loops forever and would hang this test.
+    data = gen_synthetic(n=20, d=6, k=2, seed=1)
+    for r in (0, -3):
+        with pytest.raises(ValueError, match=f"need r >= 1, got r={r}"):
+            uniform_select(data.d, r, seed=0)
+        with pytest.raises(ValueError, match=f"need r >= 1, got r={r}"):
+            rrqr_select(data.X, r)
+        bad, good = rrqr_select(data.X, [r, 3])
+        assert str(bad) == f"need r >= 1, got r={r}"
+        np.testing.assert_array_equal(good, rrqr_select(data.X, 3))
+    with pytest.raises(ValueError, match="need r >= 1, got r=0"):
+        rfe_select(data, 0)
+    bad, good = rfe_select(data, [0, 3])
+    assert str(bad) == "need r >= 1, got r=0"
+    np.testing.assert_array_equal(good, rfe_select(data, 3))
+
+
 def test_rrqr_grid_equals_separate_calls():
     X = np.random.default_rng(23).standard_normal((6, 9))
     a, b, c = rrqr_select(X, [4, 9, 10])

@@ -6,7 +6,7 @@ import pytest
 from marginsparse.data import LabeledDataset, gen_synthetic
 from marginsparse.linalg import thin_svd
 from marginsparse.sketch import SketchConfig, approx_bss_select, gaussian_sketch
-from marginsparse.svm import solve_dual, support_vectors
+from marginsparse.svm import solve_dual
 from marginsparse.bss import bss_select
 
 from oracles import sampled_gram_error
@@ -94,7 +94,7 @@ def test_margin_close_to_exact_selection():
     # multiples of the rank.
     data = gen_synthetic(n=60, d=100, k=8, seed=0)
     model = solve_dual(data, C=1.0)
-    sv = data.subset(support_vectors(model))
+    sv = data.subset(model.support_indices)
     V = thin_svd(sv.X).V
     ell = V.shape[1]
     r = 4 * ell

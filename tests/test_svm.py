@@ -1,17 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse
 
 from marginsparse.data import LabeledDataset, gen_synthetic
-from marginsparse.errors import DataError, NumericalError
-from marginsparse.svm import (
-    error_rate,
-    margin,
-    predict,
-    solve_dual,
-    support_vectors,
-)
+from marginsparse.errors import DataError
+from marginsparse.svm import error_rate, predict, solve_dual
 
-from oracles import qp_dual_solve
+from oracles import qp_dual_solve, smo_reference
+from test_acceptance import _rank10_data
 
 
 def two_point():
@@ -37,7 +35,7 @@ def test_two_point_closed_form():
     assert m.objective == pytest.approx(0.5, rel=1e-8)
     assert m.alpha.sum() == pytest.approx(m.w @ m.w, rel=1e-8)
     assert m.converged
-    np.testing.assert_array_equal(support_vectors(m), [0, 1])
+    np.testing.assert_array_equal(m.support_indices, [0, 1])
 
 
 def test_two_point_box_clipped():
@@ -54,23 +52,16 @@ def test_four_point_interior_points_inactive():
     np.testing.assert_allclose(m.alpha, [0.125, 0.0, 0.125, 0.0], atol=1e-8)
     np.testing.assert_allclose(m.w, [0.5, 0.0], atol=1e-8)
     assert m.margin == pytest.approx(2.0, rel=1e-7)
-    np.testing.assert_array_equal(support_vectors(m), [0, 2])
+    np.testing.assert_array_equal(m.support_indices, [0, 2])
 
 
 # ------------------------------------------------------------------ margin
-
-def test_margin_accessor():
-    m = solve_dual(two_point(), C=1.0)
-    assert margin(m) == pytest.approx(1.0, rel=1e-8)
-
 
 def test_margin_degenerate_rejected():
     # identical point with opposite labels: alphas cancel, w = 0
     data = LabeledDataset(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1.0, -1.0]))
     m = solve_dual(data, C=1.0)
     assert not np.isfinite(m.margin)
-    with pytest.raises(NumericalError):
-        margin(m)
 
 
 # ------------------------------------------------------- predict/error_rate
@@ -84,8 +75,7 @@ def test_predict_on_training_points():
 
 def test_predict_zero_scores_map_to_plus_one():
     m = solve_dual(two_point(), C=1.0)
-    m = type(m)(m.alpha, np.zeros(2), 0.0, m.support_indices, np.inf, m.C,
-                m.objective, m.converged, m.kkt_gap)
+    m = dataclasses.replace(m, w=np.zeros(2), b=0.0, margin=np.inf)
     np.testing.assert_array_equal(predict(m, np.array([[5.0, 5.0]])), [1.0])
 
 
@@ -147,7 +137,7 @@ def test_objective_nondecreasing_in_passes():
 def test_support_vector_refit_reproduces_classifier():
     data = gen_synthetic(n=80, d=40, k=6, seed=5)
     m_full = solve_dual(data, C=100.0, kkt_tol=1e-6)
-    sv = data.subset(support_vectors(m_full))
+    sv = data.subset(m_full.support_indices)
     m_sv = solve_dual(sv, C=100.0, kkt_tol=1e-6)
     rel = np.linalg.norm(m_sv.w - m_full.w) / np.linalg.norm(m_full.w)
     assert rel <= 1e-4
@@ -165,6 +155,14 @@ def test_bad_c_rejected():
         solve_dual(two_point(), C=0.0)
 
 
+def test_negative_kkt_tol_rejected():
+    # A negative tolerance can never be met once the gap reaches 0, and then
+    # no low-side point violates against i.
+    with pytest.raises(DataError, match="kkt_tol"):
+        solve_dual(two_point(), C=1.0, kkt_tol=-1e-3)
+    assert solve_dual(two_point(), C=1.0, kkt_tol=0.0).converged
+
+
 def test_nonconvergence_is_flagged():
     data = random_dataset(60, 5, seed=6, scale=0.05)  # heavily overlapping
     m = solve_dual(data, C=100.0, kkt_tol=1e-10, max_passes=1)
@@ -172,3 +170,43 @@ def test_nonconvergence_is_flagged():
     # best-iterate model still respects the constraints
     assert np.all((m.alpha >= 0) & (m.alpha <= 100.0))
     assert abs(m.alpha @ data.y) <= 1e-6
+
+
+# ------------------------------------------- bitwise against the gather loop
+
+def _reference_cases():
+    cases = {}
+    for shape, (n, d, k) in {"tall": (60, 12, 4), "wide": (30, 400, 8)}.items():
+        for C in (0.01, 1.0, 100.0):
+            cases[f"{shape}-C{C:g}"] = (gen_synthetic(n, d, k, seed=n + d), {"C": C})
+    cases["capped"] = (random_dataset(60, 5, seed=6, scale=0.05),
+                       {"C": 100.0, "kkt_tol": 1e-10, "max_passes": 1})
+    cases["w-zero"] = (LabeledDataset(np.array([[1.0, 2.0], [1.0, 2.0], [0.5, -1.0]]),
+                                      np.array([1.0, -1.0, 1.0])), {"C": 1.0})
+    dup = random_dataset(20, 3, seed=7, scale=0.4)
+    cases["duplicates"] = (LabeledDataset(np.vstack([dup.X, dup.X]),
+                                          np.concatenate([dup.y, dup.y])), {"C": 10.0})
+    csr = gen_synthetic(40, 300, 6, seed=3)
+    cases["csr"] = (LabeledDataset(scipy.sparse.csr_matrix(csr.X), csr.y), {"C": 1.0})
+    cases["rank10"] = (_rank10_data(0), {"C": 1.0})
+    return cases
+
+
+REFERENCE_CASES = _reference_cases()
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_CASES))
+def test_solve_dual_matches_reference_loop(name):
+    data, kwargs = REFERENCE_CASES[name]
+    m = solve_dual(data, **kwargs)
+    X = data.X.toarray() if scipy.sparse.issparse(data.X) else data.X
+    ref = smo_reference(X, data.y, **kwargs)
+    assert np.array_equal(m.alpha, ref.alpha)
+    assert np.array_equal(m.w, ref.w)
+    assert (m.b, m.objective, m.converged, m.kkt_gap, m.steps) == (
+        ref.b, ref.objective, ref.converged, ref.kkt_gap, ref.steps)
+    assert m.steps > 0
+    if name in ("capped", "rank10"):
+        assert not m.converged  # the step cap, not the tolerance, ended it
+    if name == "w-zero":
+        assert not np.any(m.w)
