@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .linalg import spectral_norm, thin_svd, to_dense
+from .linalg import check_matrix, spectral_norm, thin_svd, to_dense
 from .operators import SamplingOperator
 
 
@@ -37,36 +37,51 @@ def meb_radius(X, delta: float = 1e-3) -> EnclosingBall:
     center (max distance to any row), so every point is inside the ball
     and the radius is at most (1+delta) times the optimum when the run
     ends certified.
+
+    The Gram matrix G = P P^T of the centred points is formed once; the
+    loop then keeps P c and c.c current from rows of G, so an iteration
+    costs O(n), not O(nd).  Before certifying, the stopping test is
+    repeated on the exact center c = P^T u, so drift cannot certify a ball.
     """
     if not (0.0 < delta < 1.0):
         raise DataError("delta must be in (0, 1)")
-    P = to_dense(X).astype(np.float64, copy=False)
-    if P.ndim != 2 or P.shape[0] < 1:
+    check_matrix(X, name="X")
+    P = to_dense(X)
+    if P.shape[0] < 1:
         raise DataError("need at least one point")
     n = P.shape[0]
     shift = P.mean(axis=0)
     P = P - shift  # work near the origin to tame cancellation in g(u)
     sq = np.einsum("ij,ij->i", P, P)
+    G = P @ P.T
 
     u = np.zeros(n)
     u[0] = 1.0
-    c = P[0].copy()
+    Pc, cc = G[0], float(G[0, 0])
+    slack = (1.0 + delta) ** 2
     max_iter = math.ceil(1.0 / delta**2)
     certified = False
     k = 0
     for k in range(1, max_iter + 1):
-        d2 = sq - 2.0 * (P @ c) + c @ c
+        d2 = sq - 2.0 * Pc + cc
         far = int(np.argmax(d2))
-        gap_target = (1.0 + delta) ** 2 * (u @ sq - c @ c)
-        if d2[far] <= gap_target:
-            certified = True
-            break
+        if d2[far] <= slack * (u @ sq - cc):
+            c = u @ P
+            Pc, cc = P @ c, float(c @ c)  # resync to the exact center
+            d2 = sq - 2.0 * Pc + cc
+            far = int(np.argmax(d2))
+            if d2[far] <= slack * (u @ sq - cc):
+                certified = True
+                break
         step = 1.0 / (k + 1.0)
         u *= 1.0 - step
         u[far] += step
-        c += step * (P[far] - c)
+        cc = (1.0 - step) ** 2 * cc + step * (2.0 * (1.0 - step) * Pc[far] + step * G[far, far])
+        Pc = (1.0 - step) * Pc + step * G[far]
 
-    d2 = sq - 2.0 * (P @ c) + c @ c
+    if not certified:
+        c = u @ P
+        d2 = sq - 2.0 * (P @ c) + c @ c
     radius = float(math.sqrt(max(d2.max(), 0.0)))
     return EnclosingBall(center=c + shift, radius=radius, delta=delta,
                          iterations=k, certified=certified)

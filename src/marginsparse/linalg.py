@@ -15,9 +15,14 @@ from .errors import DataError, NumericalError
 # Relative cutoff below which singular values count as zero.
 DEFAULT_RANK_THRESHOLD = 1e-10
 
-# Sparse inputs above this column count must go through the sketching path
-# instead of a dense SVD.
+# Sparse inputs above this column count are never densified for the dense SVD.
 DENSIFY_COLUMN_LIMIT = 100_000
+
+# The Gram route squares the condition number, so it is taken only when
+# sigma_min / sigma_max clears this with room to spare above sqrt(eps), and
+# only when the factor it builds is orthonormal to GRAM_MAX_DEFECT.
+GRAM_MIN_SIGMA_RATIO = 1e-6
+GRAM_MAX_DEFECT = 1e-10
 
 
 def is_sparse(M) -> bool:
@@ -50,12 +55,15 @@ class ThinSvd:
     """Rank-truncated SVD: M ~= U @ diag(singular_values) @ V.T.
 
     U is n x rho, V is d x rho, singular values are positive and
-    non-increasing; rho is the numerical rank.
+    non-increasing; rho is the numerical rank.  path is "gram" when the
+    factors came from the Gram matrix of the short side, "dense" when they
+    came from LAPACK's SVD of the densified matrix.
     """
 
     U: np.ndarray
     singular_values: np.ndarray
     V: np.ndarray
+    path: str
 
     @property
     def rank(self) -> int:
@@ -70,25 +78,61 @@ def thin_svd(M, rank_threshold: float = DEFAULT_RANK_THRESHOLD) -> ThinSvd:
 
     Singular values <= rank_threshold * sigma_1 are dropped. A zero matrix
     yields rank 0 with empty factors.
+
+    The short side of M (k = min(n, d)) is tried first: eigh of its k x k
+    Gram matrix, a sparse product for sparse M, gives one factor, and M or
+    M^T times it over the singular values gives the other.  That route is
+    taken when the Gram matrix has sigma_min / sigma_max above
+    GRAM_MIN_SIGMA_RATIO and the built factor is orthonormal; any other
+    input gets the dense SVD.
     """
     check_matrix(M)
     if rank_threshold <= 0:
         raise ValueError("rank_threshold must be positive")
+    if not is_sparse(M):
+        M = np.asarray(M, dtype=float)
+    n, d = M.shape
+    F = _gram_svd(M) if n and d else None
+    if F is None:
+        return _dense_svd(M, rank_threshold)
+    U, s, V = F
+    keep = s > rank_threshold * s[0]
+    return ThinSvd(U[:, keep], s[keep], V[:, keep], "gram")
+
+
+def _gram_svd(M):
+    """(U, s, V) from the Gram matrix of M's short side, or None when that
+    Gram matrix is too ill-conditioned or the built factor not orthonormal."""
+    wide = M.shape[0] <= M.shape[1]
+    A = M if wide else M.T  # k x m with k <= m
+    G = A @ A.T
+    G = G.toarray() if is_sparse(G) else G
+    lam, W = np.linalg.eigh(G)
+    lam, W = lam[::-1], W[:, ::-1]
+    if not lam[-1] > GRAM_MIN_SIGMA_RATIO**2 * lam[0]:
+        return None
+    s = np.sqrt(lam)
+    other = np.asarray(A.T @ W) / s
+    if orthonormality_defect(other) > GRAM_MAX_DEFECT:
+        return None
+    return (W, s, other) if wide else (other, s, W)
+
+
+def _dense_svd(M, rank_threshold) -> ThinSvd:
     if is_sparse(M):
         if M.shape[1] > DENSIFY_COLUMN_LIMIT:
             raise DataError(
-                f"sparse matrix with {M.shape[1]} columns is too wide for a "
-                "dense SVD; use the Gaussian sketch path instead"
+                f"sparse matrix is rank-deficient or ill-conditioned on its "
+                f"short side, and its {M.shape[1]} columns are too many to "
+                f"densify for a dense SVD (limit {DENSIFY_COLUMN_LIMIT})"
             )
         M = to_dense(M)
-    else:
-        M = np.asarray(M, dtype=float)
     n, d = M.shape
     if n == 0 or d == 0 or not M.any():
-        return ThinSvd(np.zeros((n, 0)), np.zeros(0), np.zeros((d, 0)))
+        return ThinSvd(np.zeros((n, 0)), np.zeros(0), np.zeros((d, 0)), "dense")
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     keep = s > rank_threshold * s[0]
-    return ThinSvd(U[:, keep], s[keep], Vt[keep].T)
+    return ThinSvd(U[:, keep], s[keep], Vt[keep].T, "dense")
 
 
 def spectral_norm(M, tol: float = 1e-9, max_iter: int = 20_000) -> float:

@@ -1,7 +1,8 @@
 """Gaussian sketch front end for the deterministic selector.
 
 When the matrix fed to the selector has many rows (e.g. a support-vector
-set with large p), its thin SVD dominates the cost.  Sketching with a t x p
+set with large p) and is rank-deficient, so that thin_svd cannot use its
+Gram route, its thin SVD dominates the cost.  Sketching with a t x p
 standard-normal G preserves the row space of X almost surely, so running
 the selector on the right singular vectors of GX is a cheap stand-in for
 running it on those of X.  G is left unscaled: a 1/sqrt(t) factor would

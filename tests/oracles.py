@@ -2,8 +2,8 @@
 
 Nothing here imports from marginsparse: these are deliberately separate
 code paths (dense eigendecompositions, projected gradient, exhaustive
-enumeration, one-row-at-a-time barrier scores, the gather-based SMO loop)
-so agreement is meaningful.
+enumeration, one-row-at-a-time barrier scores, the gather-based SMO loop,
+LAPACK's dense SVD, the mat-vec ball loop) so agreement is meaningful.
 """
 
 import itertools
@@ -328,3 +328,64 @@ def bss_replay(V, r, score_slack, block):
         taken[i] = True
         state = state.updated(V[i], t)
     return BssReplay(indices, steps, rows_scored, reselections)
+
+
+# ------------------------------------------------------ SVD and ball loop
+
+def svd_reference(M, rank_threshold=1e-10):
+    """Thin SVD of the dense matrix by LAPACK, truncated at
+    rank_threshold * sigma_1: the dense route of thin_svd.  Returns
+    (U, s, V) with V of shape d x rank."""
+    M = np.asarray(M, dtype=np.float64)
+    n, d = M.shape
+    if n == 0 or d == 0 or not M.any():
+        return np.zeros((n, 0)), np.zeros(0), np.zeros((d, 0))
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    keep = s > rank_threshold * s[0]
+    return U[:, keep], s[keep], Vt[keep].T
+
+
+@dataclass(frozen=True)
+class BallResult:
+    center: np.ndarray
+    radius: float
+    iterations: int
+    certified: bool
+
+
+def meb_reference(X, delta=1e-3):
+    """The core-set ball loop with one n x d mat-vec per iteration: the
+    reference for the Gram-row loop in meb_radius.
+
+    Same mean shift, same harmonic step toward the farthest point, same
+    stopping test max_dist^2 <= (1+delta)^2 g(u), and the radius is the
+    covering radius of the final center.
+    """
+    P = np.asarray(X, dtype=np.float64)
+    n = P.shape[0]
+    shift = P.mean(axis=0)
+    P = P - shift
+    sq = np.einsum("ij,ij->i", P, P)
+
+    u = np.zeros(n)
+    u[0] = 1.0
+    c = P[0].copy()
+    max_iter = math.ceil(1.0 / delta**2)
+    certified = False
+    k = 0
+    for k in range(1, max_iter + 1):
+        d2 = sq - 2.0 * (P @ c) + c @ c
+        far = int(np.argmax(d2))
+        gap_target = (1.0 + delta) ** 2 * (u @ sq - c @ c)
+        if d2[far] <= gap_target:
+            certified = True
+            break
+        step = 1.0 / (k + 1.0)
+        u *= 1.0 - step
+        u[far] += step
+        c += step * (P[far] - c)
+
+    d2 = sq - 2.0 * (P @ c) + c @ c
+    radius = float(math.sqrt(max(d2.max(), 0.0)))
+    return BallResult(center=c + shift, radius=radius, iterations=k,
+                      certified=certified)

@@ -1,9 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from marginsparse.bss import bss_select
+from marginsparse.data import gen_synthetic
 from marginsparse.errors import DataError
 from marginsparse.geometry import (
     augmented_right_basis,
@@ -13,7 +15,7 @@ from marginsparse.geometry import (
 from marginsparse.leverage import leverage_select
 from marginsparse.operators import SamplingOperator
 
-from oracles import exhaustive_meb
+from oracles import exhaustive_meb, meb_reference
 
 
 def test_two_point_ball():
@@ -64,6 +66,38 @@ def test_covering_property():
     ball = meb_radius(P)
     dists = np.linalg.norm(P - ball.center, axis=1)
     assert dists.max() <= ball.radius * (1 + 1e-12)
+
+
+def _shifted(seed, offset):
+    return np.random.default_rng(seed).standard_normal((15, 4)) + offset
+
+
+MEB_CASES = {
+    **{f"planar {seed}": (lambda seed=seed: np.random.default_rng(seed).normal(size=(10, 2)))
+       for seed in range(9000, 9050)},  # criterion 10's sets
+    "translation 0": lambda: _shifted(30, 0.0),
+    "translation 1000": lambda: _shifted(30, 1000.0),
+    **{f"{n}x{d}": (lambda n=n, d=d: gen_synthetic(n, d, 40, seed=n).X)
+       for n, d in ((50, 4000), (20, 20000), (80, 400))},  # select-tall shapes
+}
+
+
+@pytest.mark.parametrize("case", MEB_CASES)
+def test_meb_radius_matches_reference_loop(case):
+    P = MEB_CASES[case]()
+    ball, ref = meb_radius(P), meb_reference(P)
+    assert (ball.iterations, ball.certified) == (ref.iterations, ref.certified)
+    assert ball.radius == pytest.approx(ref.radius, rel=1e-12, abs=0.0)
+    assert np.linalg.norm(ball.center - ref.center) <= 1e-12 * np.linalg.norm(ref.center)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_input_raises_at_once(bad):
+    P = np.array([[0.0, 0.0], [1.0, bad], [2.0, 3.0]])
+    start = time.perf_counter()
+    with pytest.raises(DataError):
+        meb_radius(P)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_delta_validation():

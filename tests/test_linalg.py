@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import marginsparse.linalg as linalg
 from marginsparse.errors import DataError, NumericalError
 from marginsparse.linalg import (orthonormality_defect, require_orthonormal,
                                  row_norms_sq, spectral_norm, thin_svd)
-from oracles import eig_spectral_norm
+from oracles import eig_spectral_norm, svd_reference
+from test_acceptance import _rank10_data
 
 
 def test_thin_svd_diagonal():
@@ -65,6 +67,65 @@ def test_thin_svd_sparse_matches_dense():
     F = thin_svd(sp.csr_matrix(M))
     np.testing.assert_allclose(F.singular_values,
                                thin_svd(M).singular_values, rtol=1e-12)
+
+
+def _conditioned(kappa, n=30, d=60, seed=7):
+    """n x d matrix with singular values spaced geometrically from 1 to 1/kappa."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    V = np.linalg.qr(rng.standard_normal((d, n)))[0]
+    return (U * np.geomspace(1.0, 1.0 / kappa, n)) @ V.T
+
+
+SVD_CASES = {
+    "wide": (lambda: np.random.default_rng(40).standard_normal((20, 300)), "gram"),
+    "tall": (lambda: np.random.default_rng(41).standard_normal((300, 20)), "gram"),
+    "csr": (lambda: sp.random(30, 500, density=0.1, format="csr", random_state=42), "gram"),
+    "1xd": (lambda: np.random.default_rng(43).standard_normal((1, 50)), "gram"),
+    "dx1": (lambda: np.random.default_rng(44).standard_normal((50, 1)), "gram"),
+    "zero": (lambda: np.zeros((5, 7)), "dense"),
+    "rank-deficient": (lambda: _rank10_data(0).X, "dense"),
+    "kappa 1e5": (lambda: _conditioned(1e5), "dense"),  # passes the ratio test, not the defect test
+    "kappa 1e8": (lambda: _conditioned(1e8), "dense"),
+}
+
+
+@pytest.mark.parametrize("case", SVD_CASES)
+def test_thin_svd_matches_dense_reference(case):
+    build, path = SVD_CASES[case]
+    M = build()
+    F = thin_svd(M)
+    _, s_ref, V_ref = svd_reference(M.toarray() if sp.issparse(M) else M)
+    assert F.path == path
+    assert F.rank == s_ref.size
+    np.testing.assert_allclose(F.singular_values, s_ref, rtol=1e-12)
+    assert eig_spectral_norm(F.V @ F.V.T - V_ref @ V_ref.T) <= 1e-10
+
+
+def _wide_sparse(rank_deficient):
+    M = sp.random(20, 150_000, density=1e-3, format="csr", random_state=45)
+    if rank_deficient:
+        M = sp.vstack([M[:19], M[0] + M[1]], format="csr")
+    return M
+
+
+def test_thin_svd_wide_sparse_takes_gram_path_without_densifying(monkeypatch):
+    def refuse(M):
+        raise AssertionError("to_dense called")
+
+    monkeypatch.setattr(linalg, "to_dense", refuse)
+    M = _wide_sparse(rank_deficient=False)
+    F = thin_svd(M)
+    assert F.path == "gram" and F.rank == 20
+    assert orthonormality_defect(F.V) <= 1e-10
+    G = (M @ M.T).toarray()
+    np.testing.assert_allclose(F.singular_values**2,
+                               np.linalg.eigvalsh(G)[::-1], rtol=1e-12)
+
+
+def test_thin_svd_wide_sparse_rank_deficient_raises():
+    with pytest.raises(DataError, match="rank-deficient or ill-conditioned"):
+        thin_svd(_wide_sparse(rank_deficient=True))
 
 
 def test_thin_svd_rejects_nonfinite():
