@@ -8,7 +8,8 @@ with every bound checkable from measured quantities.
 """
 
 from .errors import DataError, NumericalError
-from .linalg import ThinSvd, orthonormality_defect, row_norms_sq, spectral_norm, thin_svd
+from .linalg import (ThinSvd, orthonormality_defect, row_norms_sq, spectral_error,
+                     spectral_norm, thin_svd)
 from .operators import SamplingOperator
 from .bss import BssDiagnostics, bss_select
 from .leverage import LeverageDistribution, leverage_scores, leverage_select
@@ -28,7 +29,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DataError", "NumericalError",
-    "ThinSvd", "thin_svd", "spectral_norm", "row_norms_sq", "orthonormality_defect",
+    "ThinSvd", "thin_svd", "spectral_error", "spectral_norm", "row_norms_sq",
+    "orthonormality_defect",
     "SamplingOperator",
     "BssDiagnostics", "bss_select",
     "LeverageDistribution", "leverage_scores", "leverage_select",

@@ -15,9 +15,14 @@ of R^T V lies in [1 - sqrt(ell/r), 1 + sqrt(ell/r)], hence
 
 Each step picks the acceptable untaken row of largest norm.  Rows are
 scored lazily: in descending-norm order, SCORE_BLOCK rows at a time,
-stopping at the first block that holds an acceptable untaken row.  A step
-costs one ell x ell eigendecomposition plus O(ell^2) per row scored, and
-scores all d rows only when every acceptable row is already taken.
+stopping at the first block that holds an acceptable untaken row.  The
+scores need the two shifted resolvents (A - (L+1)I)^-1 and
+((U+delta_upper)I - A)^-1, not the spectrum of A.  A step costs two
+Cholesky factors and their two triangular inverses, one more factor-only
+Cholesky that tests lambda_max < U, and one ell x 2ell GEMM per block of
+rows scored.  The unshifted potentials tr (A - L I)^-1 and tr (U I - A)^-1
+are carried from one step to the next by Sherman-Morrison.  A step scores
+all d rows only when every acceptable row is already taken.
 
 The procedure is fully deterministic: no randomness anywhere.
 """
@@ -28,6 +33,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import NumericalError
 from .linalg import check_matrix, require_orthonormal, row_norms_sq
@@ -43,7 +50,9 @@ SCORE_BLOCK = 64
 class BssDiagnostics:
     """Instrumentation from one bss_select run.
 
-    eig_count counts eigendecompositions (one per iteration).
+    eig_count counts eigendecompositions.  The barriers are tested by
+    Cholesky factors, so it is 0; only a failing run takes a spectrum, and
+    that run raises.
     score_evaluations counts rows scored: per iteration, the whole blocks
     of the descending-norm order up to the one holding the pick, or all d
     rows on an iteration that reselects a taken row.
@@ -53,6 +62,40 @@ class BssDiagnostics:
     score_evaluations: int
     step_sizes: np.ndarray
     reselections: int
+
+
+def _inverse(M):
+    """(M^-1, tr M^-1) for symmetric positive definite M, or None when its
+    Cholesky factor fails.  With M = C^T C, M^-1 = C^-1 C^-T, whose trace
+    is ||C^-1||_F^2.  M is overwritten."""
+    C, info = dpotrf(M.T, overwrite_a=1)  # M = M^T; its F-order view factors in place
+    if info != 0:
+        return None
+    Ci, info = dtrtri(C, overwrite_c=1)
+    if info != 0:
+        return None
+    # Upper triangle of Ci Ci^T, zeros below.  From ell ~ 80, OpenBLAS's
+    # threaded GEMM takes several times as long for the full product.
+    S = dsyrk(1.0, Ci)
+    Q = S + S.T
+    Q.flat[::Q.shape[0] + 1] *= 0.5  # the diagonal was doubled; halving is exact
+    return Q, float(np.trace(S))
+
+
+def _spectrum_error(A, tau, L, U, lower_shift=False):
+    """The NumericalError for a failed factor at iteration tau.  Only this
+    path pays for the spectrum."""
+    lam = np.linalg.eigvalsh(A)
+    if lower_shift and lam[0] > L and lam[-1] < U:
+        # The potential bound keeps lambda_min > L + 1; hitting this
+        # means accumulated rounding broke the induction.
+        head = f"lower barrier shift overtook the spectrum at iteration {tau}"
+    else:
+        head = f"barrier crossed at iteration {tau}"
+    return NumericalError(
+        f"{head}: spectrum [{lam[0]:.9g}, {lam[-1]:.9g}] "
+        f"vs barriers ({L:.9g}, {U:.9g})"
+    )
 
 
 def bss_select(V, r: int, *, return_diagnostics: bool = False):
@@ -79,71 +122,80 @@ def bss_select(V, r: int, *, return_diagnostics: bool = False):
     order = np.argsort(-row_norms_sq(V), kind="stable")
     V_sorted = V[order]
     A = np.zeros((ell, ell))
+    eye = np.eye(ell)
     taken = np.zeros(d, dtype=bool)  # by position in `order`
     indices = np.empty(r, dtype=np.intp)
     steps = np.empty(r)
-    eig_count = 0
     score_evals = 0
     reselections = 0
+    # Potentials tr (A - L I)^-1 and tr (U I - A)^-1 at A = 0.
+    phi_l = ell / sqrt_rl
+    phi_u = ell / (delta_upper * sqrt_rl)
 
     for tau in range(r):
-        lam, W = np.linalg.eigh(A)
-        eig_count += 1
         L = tau - sqrt_rl
         U = delta_upper * (tau + sqrt_rl)
-        if not (lam[0] > L and lam[-1] < U):
-            raise NumericalError(
-                f"barrier crossed at iteration {tau}: spectrum "
-                f"[{lam[0]:.9g}, {lam[-1]:.9g}] vs barriers ({L:.9g}, {U:.9g})"
-            )
-        gap_lo = lam - (L + delta_lower)
-        gap_hi = (U + delta_upper) - lam
-        if gap_lo[0] <= 0.0:
-            # The potential bound keeps lambda_min > L + 1; hitting this
-            # means accumulated rounding broke the induction.
-            raise NumericalError(
-                f"lower barrier shift overtook the spectrum at iteration {tau}"
-            )
-        dphi_l = np.sum(1.0 / gap_lo) - np.sum(1.0 / (lam - L))
-        dphi_u = np.sum(1.0 / (U - lam)) - np.sum(1.0 / gap_hi)
-        inv_lo, inv_lo2 = 1.0 / gap_lo, gap_lo**-2
-        inv_hi, inv_hi2 = 1.0 / gap_hi, gap_hi**-2
+        # lambda_max < U exactly when U I - A has a Cholesky factor, and
+        # lambda_min > L + 1 > L exactly when A - (L+1) I has one.
+        if dpotrf((U * eye - A).T, clean=0, overwrite_a=1)[1] != 0:
+            raise _spectrum_error(A, tau, L, U)
+        lo = _inverse(A - (L + delta_lower) * eye)
+        if lo is None:
+            raise _spectrum_error(A, tau, L, U, lower_shift=True)
+        hi = _inverse((U + delta_upper) * eye - A)
+        if hi is None:
+            raise _spectrum_error(A, tau, L, U)
+        (Q_lo, tr_lo), (Q_hi, tr_hi) = lo, hi
+        dphi_l = tr_lo - phi_l
+        dphi_u = phi_u - tr_hi
+        Q = np.hstack([Q_lo, Q_hi])
 
-        # Score rows in the eigenbasis of A, one block at a time.
+        # Per row: v'Q_lo v, v'Q_hi v and v'Q_lo^2 v, v'Q_hi^2 v from one GEMM.
         scored = []
         pick = None
         for start in range(0, d, SCORE_BLOCK):
-            P2 = (V_sorted[start:start + SCORE_BLOCK] @ W) ** 2
-            lsc = (P2 @ inv_lo2) / dphi_l - P2 @ inv_lo
-            usc = (P2 @ inv_hi2) / dphi_u + P2 @ inv_hi
-            score_evals += P2.shape[0]
+            Vb = V_sorted[start:start + SCORE_BLOCK]
+            Y = (Vb @ Q).reshape(-1, 2, ell)
+            quad = np.einsum("ijk,ijk->ij", Y, Y)
+            lin = np.einsum("ijk,ik->ij", Y, Vb)
+            lsc = quad[:, 0] / dphi_l - lin[:, 0]
+            usc = quad[:, 1] / dphi_u + lin[:, 1]
+            score_evals += Vb.shape[0]
             slack = SCORE_SLACK * np.maximum(np.abs(lsc), np.abs(usc))
             eligible = (usc <= lsc + slack) & (usc + lsc > 0.0)
             hits = np.flatnonzero(eligible & ~taken[start:start + SCORE_BLOCK])
             if hits.size:
                 k = hits[0]
-                pick = start + k, lsc[k], usc[k]
+                pick = start + k, lsc[k], usc[k], quad[k], lin[k]
                 break
-            scored.append((lsc, usc, eligible))
+            scored.append((lsc, usc, eligible, quad, lin))
 
         if pick is None:
             # Every eligible row is taken, and all d rows have been scored.
-            lsc, usc, eligible = (np.concatenate(a) for a in zip(*scored))
+            lsc, usc, eligible, quad, lin = (np.concatenate(a) for a in zip(*scored))
             if not eligible.any():
+                lam = np.linalg.eigvalsh(A)
                 raise NumericalError(
                     f"no acceptable column at iteration {tau} "
                     f"(max lscore-uscore = {np.max(lsc - usc):.3e}, "
-                    f"potentials {np.sum(1.0 / (lam - L)):.6g}/{np.sum(1.0 / (U - lam)):.6g}, "
+                    f"potentials {phi_l:.6g}/{phi_u:.6g}, "
                     f"spectrum [{lam[0]:.9g}, {lam[-1]:.9g}], barriers ({L:.9g}, {U:.9g}))"
                 )
             k = np.flatnonzero(eligible)[0]  # allow re-selection
-            pick = k, lsc[k], usc[k]
+            pick = k, lsc[k], usc[k], quad[k], lin[k]
             reselections += 1
-        pos, l_i, u_i = pick
+        pos, l_i, u_i, (vq2_lo, vq2_hi), (vq_lo, vq_hi) = pick
 
         t = 2.0 / (u_i + l_i)
         v = V_sorted[pos]
         A += t * np.outer(v, v)
+        # Next step's potentials: its barriers are this step's shifted ones,
+        # so tr (A + t v v' - (L+1) I)^-1 and tr ((U+dU) I - A - t v v')^-1.
+        phi_l = tr_lo - t * vq2_lo / (1.0 + t * vq_lo)
+        denom = 1.0 - t * vq_hi
+        if denom <= 0.0:
+            raise _spectrum_error(A, tau + 1, L + delta_lower, U + delta_upper)
+        phi_u = tr_hi + t * vq2_hi / denom
         taken[pos] = True
         indices[tau] = order[pos]
         steps[tau] = t
@@ -151,6 +203,6 @@ def bss_select(V, r: int, *, return_diagnostics: bool = False):
     weights = np.sqrt(steps) * math.sqrt((1.0 - ratio) / r)
     op = SamplingOperator(d, indices, weights)
     if return_diagnostics:
-        diag = BssDiagnostics(eig_count, score_evals, steps.copy(), reselections)
+        diag = BssDiagnostics(0, score_evals, steps.copy(), reselections)
         return op, diag
     return op

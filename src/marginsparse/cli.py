@@ -21,7 +21,7 @@ from .bss import bss_select
 from .data import gen_synthetic, load_dataset, write_svmlight
 from .geometry import augmented_right_basis, radius_bound_check
 from .leverage import leverage_select
-from .linalg import spectral_norm
+from .linalg import spectral_error
 from .operators import SamplingOperator
 from .pipelines import (METHODS, cv_experiment, feature_frequencies,
                         summarize_cv, supervised_select, unsupervised_select,
@@ -161,9 +161,8 @@ def _verify_spectral(args):
     for _ in range(args.trials):
         V = np.linalg.qr(rng.standard_normal((d, args.l)))[0]
         op = bss_select(V, args.r)
-        M = V[op.indices] * op.weights[:, None]  # R^T V without the d x r R
-        sig = np.linalg.svd(M, compute_uv=False)
-        err = spectral_norm(V.T @ V - M.T @ M)
+        sig = np.linalg.svd(V[op.indices] * op.weights[:, None], compute_uv=False)
+        err = spectral_error(V, op.indices, op.weights)
         max_err = max(max_err, err)
         if err > bound or sig.min() < lo - 1e-9 or sig.max() > hi + 1e-9:
             failures += 1

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .linalg import check_matrix, spectral_norm, thin_svd, to_dense
+from .linalg import check_matrix, spectral_error, thin_svd, to_dense
 from .operators import SamplingOperator
 
 
@@ -110,12 +110,13 @@ def augmented_right_basis(X, delta: float = 1e-3) -> AugmentedBasis:
 
     This is the matrix the radius-preservation argument samples from: the
     guarantee needs the selection to be accurate on the span of the data
-    AND the ball center.  The record keeps the dense data and the ball so
-    that radius_bound_check reuses them.
+    AND the ball center.  The center is a convex combination u X of the
+    rows, so it adds nothing to their span, and the basis is that of X
+    alone.  The record keeps the dense data and the ball so that
+    radius_bound_check reuses them.
     """
     P = to_dense(X)
-    ball = meb_radius(P, delta)
-    return AugmentedBasis(P, ball, thin_svd(np.vstack([P, ball.center[None, :]])).V)
+    return AugmentedBasis(P, meb_radius(P, delta), thin_svd(P).V)
 
 
 def radius_bound_check(basis: AugmentedBasis, R: SamplingOperator) -> RadiusCheck:
@@ -133,9 +134,7 @@ def radius_bound_check(basis: AugmentedBasis, R: SamplingOperator) -> RadiusChec
         raise DataError(f"operator built for {R.n_features} features, data has {P.shape[1]}")
     delta = ball_full.delta
     ball_sampled = meb_radius(R.apply(P), delta)
-    M = V_B[R.indices] * R.weights[:, None]  # R^T V_B without the d x r R
-    E = V_B.T @ V_B - M.T @ M
-    err = spectral_norm(E)
+    err = spectral_error(V_B, R.indices, R.weights)
     bound = (1.0 + err) * (1.0 + delta) ** 2 * ball_full.radius**2
     passed = ball_sampled.radius**2 <= bound * (1.0 + 1e-9)
     return RadiusCheck(radius_full=ball_full.radius,

@@ -170,6 +170,18 @@ def spectral_norm(M, tol: float = 1e-9, max_iter: int = 20_000) -> float:
     return float(np.linalg.norm(v))
 
 
+def spectral_error(V, indices, weights) -> float:
+    """||V^T V - M^T M||_2 for M = R^T V, the rows V[indices] scaled by weights.
+
+    The difference is a symmetric ell x ell matrix, so its norm is the
+    largest absolute eigenvalue, read exactly by eigvalsh.
+    """
+    V = np.asarray(V, dtype=float)
+    M = V[indices] * np.asarray(weights, dtype=float)[:, None]  # R^T V without the d x r R
+    lam = np.linalg.eigvalsh(V.T @ V - M.T @ M)
+    return float(max(-lam[0], lam[-1])) if lam.size else 0.0
+
+
 def row_norms_sq(M) -> np.ndarray:
     """Squared Euclidean norm of every row."""
     check_matrix(M)

@@ -31,7 +31,7 @@ from .bss import bss_select
 from .data import LabeledDataset, make_folds, apply_fold
 from .geometry import meb_radius
 from .leverage import leverage_select
-from .linalg import spectral_norm, thin_svd, to_dense
+from .linalg import spectral_error, thin_svd, to_dense
 from .operators import SamplingOperator
 from .sketch import approx_bss_select
 from .svm import SvmModel, error_rate, solve_dual
@@ -251,12 +251,7 @@ def _selection_report(method, mode, r, seed, source, margin_full, n_support,
     else:
         full_sampled = LabeledDataset(op.apply(full_data.X), full_data.y)
         margin_sampled_full = solve_dual(full_sampled, C, kkt_tol).margin
-    if method in WEIGHTED_METHODS:
-        V = basis()
-        M = V[op.indices] * op.weights[:, None]  # R^T V without the d x r R
-        err = spectral_norm(V.T @ V - M.T @ M)
-    else:
-        err = None
+    err = spectral_error(basis(), op.indices, op.weights) if method in WEIGHTED_METHODS else None
     if compute_radii:
         radius_full = meb_radius(source.X, meb_delta).radius
         radius_sampled = meb_radius(sampled.X, meb_delta).radius

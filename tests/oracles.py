@@ -2,8 +2,9 @@
 
 Nothing here imports from marginsparse: these are deliberately separate
 code paths (dense eigendecompositions, projected gradient, exhaustive
-enumeration, one-row-at-a-time barrier scores, the gather-based SMO loop,
-LAPACK's dense SVD, the mat-vec ball loop) so agreement is meaningful.
+enumeration, one-row-at-a-time barrier scores, the eigh-per-step BSS loop,
+the gather-based SMO loop, LAPACK's dense SVD, the mat-vec ball loop) so
+agreement is meaningful.
 """
 
 import itertools
@@ -328,6 +329,103 @@ def bss_replay(V, r, score_slack, block):
         taken[i] = True
         state = state.updated(V[i], t)
     return BssReplay(indices, steps, rows_scored, reselections)
+
+
+@dataclass(frozen=True)
+class BssReference:
+    indices: np.ndarray
+    weights: np.ndarray
+    step_sizes: np.ndarray
+    eig_count: int
+    score_evaluations: int
+    reselections: int
+
+
+def bss_reference(V, r, score_slack, block):
+    """The lazy BSS loop with one ell x ell eigh per step: the reference for
+    the Cholesky-factored loop in bss_select.
+
+    Same descending-norm block scan, same scores (through the eigenbasis of
+    A), same eligibility test, step size and weights.  Barrier failures
+    raise ArithmeticError with bss_select's message text.
+    """
+    V = np.ascontiguousarray(np.asarray(V, dtype=np.float64))
+    d, ell = V.shape
+    ratio = math.sqrt(ell / r)
+    delta_lower = 1.0
+    delta_upper = (1.0 + ratio) / (1.0 - ratio)
+    sqrt_rl = math.sqrt(r * ell)
+
+    order = np.argsort(-np.einsum("ij,ij->i", V, V), kind="stable")
+    V_sorted = V[order]
+    A = np.zeros((ell, ell))
+    taken = np.zeros(d, dtype=bool)  # by position in `order`
+    indices = np.empty(r, dtype=np.intp)
+    steps = np.empty(r)
+    eig_count = 0
+    score_evals = 0
+    reselections = 0
+
+    for tau in range(r):
+        lam, W = np.linalg.eigh(A)
+        eig_count += 1
+        L = tau - sqrt_rl
+        U = delta_upper * (tau + sqrt_rl)
+        if not (lam[0] > L and lam[-1] < U):
+            raise ArithmeticError(
+                f"barrier crossed at iteration {tau}: spectrum "
+                f"[{lam[0]:.9g}, {lam[-1]:.9g}] vs barriers ({L:.9g}, {U:.9g})"
+            )
+        gap_lo = lam - (L + delta_lower)
+        gap_hi = (U + delta_upper) - lam
+        if gap_lo[0] <= 0.0:
+            raise ArithmeticError(
+                f"lower barrier shift overtook the spectrum at iteration {tau}"
+            )
+        dphi_l = np.sum(1.0 / gap_lo) - np.sum(1.0 / (lam - L))
+        dphi_u = np.sum(1.0 / (U - lam)) - np.sum(1.0 / gap_hi)
+        inv_lo, inv_lo2 = 1.0 / gap_lo, gap_lo**-2
+        inv_hi, inv_hi2 = 1.0 / gap_hi, gap_hi**-2
+
+        scored = []
+        pick = None
+        for start in range(0, d, block):
+            P2 = (V_sorted[start:start + block] @ W) ** 2
+            lsc = (P2 @ inv_lo2) / dphi_l - P2 @ inv_lo
+            usc = (P2 @ inv_hi2) / dphi_u + P2 @ inv_hi
+            score_evals += P2.shape[0]
+            slack = score_slack * np.maximum(np.abs(lsc), np.abs(usc))
+            eligible = (usc <= lsc + slack) & (usc + lsc > 0.0)
+            hits = np.flatnonzero(eligible & ~taken[start:start + block])
+            if hits.size:
+                k = hits[0]
+                pick = start + k, lsc[k], usc[k]
+                break
+            scored.append((lsc, usc, eligible))
+
+        if pick is None:
+            lsc, usc, eligible = (np.concatenate(a) for a in zip(*scored))
+            if not eligible.any():
+                raise ArithmeticError(
+                    f"no acceptable column at iteration {tau} "
+                    f"(max lscore-uscore = {np.max(lsc - usc):.3e}, "
+                    f"potentials {np.sum(1.0 / (lam - L)):.6g}/{np.sum(1.0 / (U - lam)):.6g}, "
+                    f"spectrum [{lam[0]:.9g}, {lam[-1]:.9g}], barriers ({L:.9g}, {U:.9g}))"
+                )
+            k = np.flatnonzero(eligible)[0]  # allow re-selection
+            pick = k, lsc[k], usc[k]
+            reselections += 1
+        pos, l_i, u_i = pick
+
+        t = 2.0 / (u_i + l_i)
+        v = V_sorted[pos]
+        A += t * np.outer(v, v)
+        taken[pos] = True
+        indices[tau] = order[pos]
+        steps[tau] = t
+
+    weights = np.sqrt(steps) * math.sqrt((1.0 - ratio) / r)
+    return BssReference(indices, weights, steps, eig_count, score_evals, reselections)
 
 
 # ------------------------------------------------------ SVD and ball loop

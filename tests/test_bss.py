@@ -1,14 +1,17 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+import marginsparse.bss as bss
 from marginsparse.bss import SCORE_BLOCK, SCORE_SLACK, bss_select
 from marginsparse.errors import NumericalError
 
 from oracles import (
     BarrierHitError,
     BarrierState,
+    bss_reference,
     bss_replay,
     candidate_scores,
     lower_potential,
@@ -137,7 +140,7 @@ def test_guarantees_across_shapes(d, ell, r, seed):
     assert s.min() >= 1 - ratio - 1e-9
     assert s.max() <= 1 + ratio + 1e-9
     assert sampled_gram_error(V, op.indices, op.weights) <= 3 * ratio + 1e-9
-    assert diag.eig_count == r
+    assert diag.eig_count == 0
     replay = bss_replay(V, r, SCORE_SLACK, SCORE_BLOCK)
     assert diag.score_evaluations == replay.rows_scored
     assert diag.reselections == replay.reselections
@@ -183,17 +186,79 @@ def test_replay_through_single_candidate_api():
     _assert_replay_matches(random_orthonormal(10, 3, seed=13), 40)
 
 
+def _duplicated_rows(m=60):
+    Q = random_orthonormal(m, 3, seed=12)
+    return np.vstack([Q, Q]) / math.sqrt(2.0)
+
+
 def test_duplicated_rows_resolve_ties_to_lower_index():
     # Rows i and i + m are bit-identical, so their norms tie exactly; the
     # lower index must win, as argmax over ascending candidates does.
     m = 60
-    Q = random_orthonormal(m, 3, seed=12)
-    V = np.vstack([Q, Q]) / math.sqrt(2.0)
+    V = _duplicated_rows(m)
     r = 24
     op = _assert_replay_matches(V, r)
     for tau, i in enumerate(op.indices):
         if i >= m:
             assert i - m in op.indices[:tau]
+
+
+BSS_REFERENCE_CASES = {
+    # the three select-tall shapes, sparse-text's widest basis, a cv-grid
+    # ell, exact norm ties, and an input that forces reselections
+    "4000x50 r=400": (lambda: random_orthonormal(4000, 50, seed=20), 400),
+    "20000x20 r=80": (lambda: random_orthonormal(20000, 20, seed=21), 80),
+    "400x80 r=320": (lambda: random_orthonormal(400, 80, seed=22), 320),
+    "4000x87 r=200": (lambda: random_orthonormal(4000, 87, seed=23), 200),
+    "1000x14 r=40": (lambda: random_orthonormal(1000, 14, seed=24), 40),
+    "duplicated rows": (_duplicated_rows, 24),
+    "identity embedding": (lambda: np.eye(6)[:, :2], 8),
+}
+
+
+@pytest.mark.parametrize("case", BSS_REFERENCE_CASES)
+def test_bss_select_matches_eigh_reference(case):
+    build, r = BSS_REFERENCE_CASES[case]
+    V = build()
+    op, diag = bss_select(V, r, return_diagnostics=True)
+    ref = bss_reference(V, r, SCORE_SLACK, SCORE_BLOCK)
+    np.testing.assert_array_equal(op.indices, ref.indices)
+    np.testing.assert_allclose(op.weights, ref.weights, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(diag.step_sizes, ref.step_sizes, rtol=1e-12, atol=0)
+    assert diag.score_evaluations == ref.score_evaluations
+    assert diag.reselections == ref.reselections
+    assert (diag.eig_count, ref.eig_count) == (0, r)
+    if case == "identity embedding":
+        assert diag.reselections > 0
+
+
+@pytest.mark.parametrize("factor,message", [
+    (0, "barrier crossed"),                              # U I - A
+    (1, "lower barrier shift overtook the spectrum"),    # A - (L+1) I
+    (2, "barrier crossed"),                              # (U+dU) I - A
+])
+def test_failed_factor_names_iteration_spectrum_and_barriers(monkeypatch, factor, message):
+    # Each step factors U I - A, A - (L+1) I and (U+dU) I - A, in that
+    # order.  Fail one of step k's factors on a healthy spectrum: the error
+    # must still name the step, its spectrum and its barriers.
+    V, r, k = random_orthonormal(200, 5, seed=25), 40, 7
+    real, calls = bss.dpotrf, []
+
+    def failing(M, *args, **kwargs):
+        calls.append(None)
+        C, info = real(M, *args, **kwargs)
+        return (C, 1) if len(calls) == 3 * k + factor + 1 else (C, info)
+
+    monkeypatch.setattr(bss, "dpotrf", failing)
+    with pytest.raises(NumericalError) as exc:
+        bss_select(V, r)
+    sqrt_rl = math.sqrt(r * 5)
+    delta_upper = (1 + math.sqrt(5 / r)) / (1 - math.sqrt(5 / r))
+    L, U = k - sqrt_rl, delta_upper * (k + sqrt_rl)
+    num = r"-?\d[\d.e+-]*"
+    assert re.fullmatch(
+        rf"{message} at iteration {k}: spectrum \[{num}, {num}\] "
+        rf"vs barriers \({L:.9g}, {U:.9g}\)", str(exc.value))
 
 
 def test_rejects_bad_inputs():

@@ -15,7 +15,7 @@ from marginsparse.geometry import (
 from marginsparse.leverage import leverage_select
 from marginsparse.operators import SamplingOperator
 
-from oracles import exhaustive_meb, meb_reference
+from oracles import eig_spectral_norm, exhaustive_meb, meb_reference, svd_reference
 
 
 def test_two_point_ball():
@@ -108,6 +108,22 @@ def test_delta_validation():
 
 
 # -------------------------------------------------------- radius_bound_check
+
+@pytest.mark.parametrize("shape", ["low rank 40x200", "wide sparse 60x800"])
+def test_augmented_basis_spans_the_center(shape):
+    # The center is a convex combination of the rows, so the basis of X
+    # alone already spans [X; center]; the data sit off the origin so the
+    # center is far from 0.
+    rng = np.random.default_rng(34)
+    if shape == "low rank 40x200":
+        X = rng.standard_normal((40, 10)) @ rng.standard_normal((10, 200)) + 3.0
+    else:
+        X = rng.random((60, 800)) * (rng.random((60, 800)) < 0.02) + 1.0
+    basis = augmented_right_basis(X)
+    _, _, V_aug = svd_reference(np.vstack([X, basis.ball.center]))
+    assert basis.V.shape == V_aug.shape
+    assert eig_spectral_norm(basis.V @ basis.V.T - V_aug @ V_aug.T) <= 1e-10
+
 
 def test_identity_sampling_passes_exactly():
     rng = np.random.default_rng(32)

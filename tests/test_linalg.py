@@ -5,7 +5,8 @@ import scipy.sparse as sp
 import marginsparse.linalg as linalg
 from marginsparse.errors import DataError, NumericalError
 from marginsparse.linalg import (orthonormality_defect, require_orthonormal,
-                                 row_norms_sq, spectral_norm, thin_svd)
+                                 row_norms_sq, spectral_error, spectral_norm,
+                                 thin_svd)
 from oracles import eig_spectral_norm, svd_reference
 from test_acceptance import _rank10_data
 
@@ -164,6 +165,25 @@ def test_spectral_norm_matches_svd_and_transpose():
 def test_spectral_norm_sparse():
     M = sp.csr_matrix(np.array([[0.0, 2.0], [0.0, 0.0]]))
     assert spectral_norm(M) == pytest.approx(2.0)
+
+
+def test_spectral_error_exact_case():
+    # M^T M = diag(2, 0.25), so V^T V - M^T M = diag(-1, 0.75): the norm is
+    # the magnitude of the negative eigenvalue.
+    assert spectral_error(np.eye(2), np.array([0, 0, 1]), np.array([1.0, 1.0, 0.5])) == 1.0
+    assert spectral_error(np.zeros((4, 0)), np.array([1, 2]), np.ones(2)) == 0.0
+
+
+@pytest.mark.parametrize("scale", [0.3, 1.0, 3.0])
+def test_spectral_error_matches_eig_oracle(scale):
+    rng = np.random.default_rng(46)
+    for d, ell, r in [(30, 3, 12), (200, 10, 40), (50, 1, 5), (400, 60, 240)]:
+        V = np.linalg.qr(rng.standard_normal((d, ell)))[0]
+        idx = rng.integers(0, d, r)
+        w = scale * np.sqrt(d / r) * rng.uniform(0.5, 1.5, r)
+        M = w[:, None] * V[idx]
+        assert spectral_error(V, idx, w) == pytest.approx(
+            eig_spectral_norm(V.T @ V - M.T @ M), rel=1e-10)
 
 
 def test_row_norms_sq():
