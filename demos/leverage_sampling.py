@@ -8,7 +8,7 @@ and compares empirical selection frequency against the scores.
 import numpy as np
 
 from marginsparse.leverage import leverage_scores, leverage_select
-from marginsparse.linalg import spectral_norm, thin_svd
+from marginsparse.linalg import spectral_error, thin_svd
 
 
 def main():
@@ -38,8 +38,7 @@ def main():
         errs = []
         for seed in range(10):
             op = leverage_select(V, r, seed=seed)
-            M = op.matrix().T @ V
-            errs.append(spectral_norm(V.T @ V - M.T @ M))
+            errs.append(spectral_error(V, op.indices, op.weights))
         print(f"mean spectral error at r={r:>4}: {np.mean(errs):.3f} "
               f"(10 draws, worst {np.max(errs):.3f})")
     print("\nerror shrinks like 1/sqrt(r) on average; any single draw is")

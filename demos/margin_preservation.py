@@ -14,7 +14,7 @@ def main():
     print(f"synthetic data: n={data.n}, d={data.d}, 15 informative features")
 
     for method in ("bss", "leverage", "uniform"):
-        rep = supervised_select(data, method, r=120, seed=5, compute_radii=False)
+        rep = supervised_select(data, method, r=120, seed=5)
         chk = verify_margin_bound(rep)
         err = "-" if rep.spectral_error is None else f"{rep.spectral_error:.3f}"
         print(f"\n{method}: kept r=120 of {data.d} features "

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from marginsparse.bss import bss_select
-from marginsparse.linalg import spectral_norm, thin_svd
+from marginsparse.linalg import spectral_error, thin_svd
 from marginsparse.sketch import approx_bss_select
 
 
@@ -30,8 +30,7 @@ def main():
     V = thin_svd(X).V
     op_exact = bss_select(V, r)
     exact_s = time.perf_counter() - t0
-    M = op_exact.matrix().T @ V
-    err = spectral_norm(V.T @ V - M.T @ M)
+    err = spectral_error(V, op_exact.indices, op_exact.weights)
     print(f"\nexact (full SVD): {exact_s * 1e3:7.1f} ms  "
           f"error {err:.3f}  features {np.sort(op_exact.indices)[:6].tolist()}...")
 
@@ -40,8 +39,7 @@ def main():
         t0 = time.perf_counter()
         op = approx_bss_select(X, t, r, seed=1)
         sketch_s = time.perf_counter() - t0
-        M = op.matrix().T @ V
-        err = spectral_norm(V.T @ V - M.T @ M)
+        err = spectral_error(V, op.indices, op.weights)
         shared = np.intersect1d(op.indices, op_exact.indices).size
         print(f"t = {mult:>2}*l sketch:  {sketch_s * 1e3:7.1f} ms  "
               f"error {err:.3f}  shares {shared}/{np.unique(op_exact.indices).size} "

@@ -9,7 +9,7 @@ r grows.  The guarantee: every singular value of R^T V lies in
 import numpy as np
 
 from marginsparse.bss import bss_select
-from marginsparse.linalg import spectral_norm
+from marginsparse.linalg import spectral_error
 
 
 def main():
@@ -22,9 +22,8 @@ def main():
           f"{'error':>8} {'3*sqrt(l/r)':>12}")
     for r in (16, 32, 64, 128, 256):
         op = bss_select(V, r)
-        M = op.matrix().T @ V
-        sig = np.linalg.svd(M, compute_uv=False)
-        err = spectral_norm(V.T @ V - M.T @ M)
+        sig = np.linalg.svd(V[op.indices] * op.weights[:, None], compute_uv=False)
+        err = spectral_error(V, op.indices, op.weights)
         bound = np.sqrt(ell / r)
         print(f"{r:>5} {bound:>10.3f} {sig.min():>10.3f} {sig.max():>10.3f} "
               f"{err:>8.3f} {3 * bound:>12.3f}")

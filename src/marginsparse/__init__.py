@@ -9,17 +9,17 @@ with every bound checkable from measured quantities.
 
 from .errors import DataError, NumericalError
 from .linalg import (ThinSvd, orthonormality_defect, row_norms_sq, spectral_error,
-                     spectral_norm, thin_svd)
+                     thin_svd)
 from .operators import SamplingOperator
 from .bss import BssDiagnostics, bss_select
 from .leverage import LeverageDistribution, leverage_scores, leverage_select
-from .sketch import SketchConfig, approx_bss_select, gaussian_sketch
+from .sketch import approx_bss_select, gaussian_sketch
 from .svm import SvmModel, error_rate, predict, solve_dual
 from .geometry import (AugmentedBasis, EnclosingBall, RadiusCheck,
                        augmented_right_basis, meb_radius, radius_bound_check)
-from .data import (FoldPlan, LabeledDataset, apply_fold, drop_zero_columns,
-                   gen_synthetic, load_dataset, make_folds, parse_csv,
-                   parse_svmlight, write_svmlight)
+from .data import (FoldPlan, LabeledDataset, apply_fold, gen_synthetic,
+                   load_dataset, make_folds, parse_csv, parse_svmlight,
+                   write_svmlight)
 from .pipelines import (BoundReport, CvCell, SelectionReport, cv_experiment,
                         feature_frequencies, rfe_select, rrqr_select,
                         summarize_cv, supervised_select, uniform_select,
@@ -29,17 +29,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DataError", "NumericalError",
-    "ThinSvd", "thin_svd", "spectral_error", "spectral_norm", "row_norms_sq",
+    "ThinSvd", "thin_svd", "spectral_error", "row_norms_sq",
     "orthonormality_defect",
     "SamplingOperator",
     "BssDiagnostics", "bss_select",
     "LeverageDistribution", "leverage_scores", "leverage_select",
-    "SketchConfig", "gaussian_sketch", "approx_bss_select",
+    "gaussian_sketch", "approx_bss_select",
     "SvmModel", "solve_dual", "predict", "error_rate",
     "EnclosingBall", "RadiusCheck", "meb_radius", "radius_bound_check",
     "AugmentedBasis", "augmented_right_basis",
     "LabeledDataset", "FoldPlan", "parse_svmlight", "write_svmlight", "parse_csv",
-    "load_dataset", "gen_synthetic", "make_folds", "apply_fold", "drop_zero_columns",
+    "load_dataset", "gen_synthetic", "make_folds", "apply_fold",
     "SelectionReport", "BoundReport", "CvCell", "supervised_select",
     "unsupervised_select", "verify_margin_bound", "uniform_select", "rrqr_select",
     "rfe_select", "cv_experiment", "summarize_cv", "feature_frequencies",

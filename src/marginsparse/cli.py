@@ -55,10 +55,10 @@ def _emit(payload, out_path):
         sys.stdout.write(text)
 
 
-def _run_selection(args, compute_radii=True):
+def _run_selection(args):
     data = load_dataset(args.data)
     kwargs = dict(C=args.C, seed=args.seed, kkt_tol=args.kkt_tol,
-                  meb_delta=args.delta, compute_radii=compute_radii)
+                  meb_delta=args.delta)
     if args.mode == "supervised":
         return supervised_select(data, args.method, args.features, t=args.t,
                                  chunk_fraction=args.chunk_fraction, **kwargs)
@@ -246,7 +246,9 @@ def cmd_feature_freq(args):
                           mode=args.mode, t=args.t,
                           chunk_fraction=args.chunk_fraction,
                           kkt_tol=args.kkt_tol, workers=args.workers)
-    freq = feature_frequencies(cells, data.d)[(args.method, r)]
+    # a group whose cells were all skipped has no counts: report it empty
+    freq = feature_frequencies(cells, data.d).get((args.method, r),
+                                                  np.zeros(data.d, dtype=int))
     order = np.argsort(freq, kind="stable")[::-1]
     ranked = [{"index": int(i), "feature_id": int(i) + 1, "count": int(freq[i])}
               for i in order if freq[i] > 0]

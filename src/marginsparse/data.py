@@ -2,7 +2,7 @@
 
 Formats: svmlight-style sparse text ("<label> <idx>:<val> ...", 1-based
 strictly increasing indices) and dense CSV with the label in the last
-column by default.  Labels are strictly {-1, +1}.
+column.  Labels are strictly {-1, +1}.
 """
 
 from __future__ import annotations
@@ -114,25 +114,19 @@ def write_svmlight(data: LabeledDataset) -> str:
     return out.getvalue()
 
 
-def parse_csv(text: str, label_column: str = "last", header: str = "auto") -> LabeledDataset:
-    """Dense CSV, comma-delimited.  label_column: 'last' or 'first'.
+def parse_csv(text: str) -> LabeledDataset:
+    """Dense CSV, comma-delimited, with the label in the last column.
 
-    header='auto' skips the first line when it fails to parse as numbers;
-    'yes'/'no' force the choice.
+    The first line is skipped as a header when it fails to parse as numbers.
     """
-    if label_column not in ("last", "first"):
-        raise DataError("label_column must be 'last' or 'first'")
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise DataError("empty CSV input")
     start = 0
-    if header == "yes":
+    try:
+        [float(t) for t in lines[0].split(",")]
+    except ValueError:
         start = 1
-    elif header == "auto":
-        try:
-            [float(t) for t in lines[0].split(",")]
-        except ValueError:
-            start = 1
     rows = []
     width = None
     for lineno, line in enumerate(lines[start:], start=start + 1):
@@ -148,24 +142,15 @@ def parse_csv(text: str, label_column: str = "last", header: str = "auto") -> La
         except ValueError as e:
             raise DataError(f"line {lineno}: {e}") from None
     M = np.asarray(rows)
-    if label_column == "last":
-        X, y = M[:, :-1], M[:, -1]
-    else:
-        X, y = M[:, 1:], M[:, 0]
-    return LabeledDataset(X, y)
+    return LabeledDataset(M[:, :-1], M[:, -1])
 
 
-def load_dataset(path, fmt: str = "auto", **kwargs) -> LabeledDataset:
+def load_dataset(path) -> LabeledDataset:
+    """Read a dataset file: CSV when the name ends in .csv, else svmlight."""
     path = str(path)
-    if fmt == "auto":
-        fmt = "csv" if path.endswith(".csv") else "svmlight"
     with open(path) as f:
         text = f.read()
-    if fmt == "csv":
-        return parse_csv(text, **kwargs)
-    if fmt == "svmlight":
-        return parse_svmlight(text, **kwargs)
-    raise DataError(f"unknown dataset format {fmt!r}")
+    return parse_csv(text) if path.endswith(".csv") else parse_svmlight(text)
 
 
 def gen_synthetic(n: int = 200, d: int = 1000, k: int = 40, seed: int = 0) -> LabeledDataset:
@@ -188,17 +173,6 @@ def gen_synthetic(n: int = 200, d: int = 1000, k: int = 40, seed: int = 0) -> La
     if k < d:
         X[:, k:] = rng.standard_normal((n, d - k))
     return LabeledDataset(X, y)
-
-
-def drop_zero_columns(data: LabeledDataset):
-    """Remove all-zero feature columns; returns (dataset, kept column indices)."""
-    if is_sparse(data.X):
-        nz = np.asarray((data.X != 0).sum(axis=0)).ravel() > 0
-    else:
-        nz = np.any(np.asarray(data.X) != 0, axis=0)
-    keep = np.flatnonzero(nz)
-    X = data.X.tocsc()[:, keep].tocsr() if is_sparse(data.X) else np.asarray(data.X)[:, keep]
-    return LabeledDataset(X, data.y), keep
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Core matrix routines: thin SVD, spectral norm, row norms.
+"""Core matrix routines: thin SVD, spectral error of a sampled basis, row norms.
 
 Matrices are plain 2-D float ``numpy.ndarray`` objects or
 ``scipy.sparse.csr_matrix`` / ``csr_array`` (rows are data points, columns
@@ -133,41 +133,6 @@ def _dense_svd(M, rank_threshold) -> ThinSvd:
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     keep = s > rank_threshold * s[0]
     return ThinSvd(U[:, keep], s[keep], Vt[keep].T, "dense")
-
-
-def spectral_norm(M, tol: float = 1e-9, max_iter: int = 20_000) -> float:
-    """Largest singular value via power iteration on M^T M.
-
-    Deterministic: the starting vector comes from a fixed-seed generator.
-    Returns 0.0 for a zero matrix. Works for dense and sparse inputs
-    without densifying.
-    """
-    check_matrix(M)
-    n, d = M.shape
-    if n == 0 or d == 0:
-        return 0.0
-    # Iterate on the skinny side so each step is one pair of mat-vecs on a
-    # min(n, d)-length vector; M and M.T then run the identical recursion,
-    # which makes the result exactly transpose-invariant.
-    A = M.T if d > n else M
-    k = min(n, d)
-    rng = np.random.default_rng(0x5EED)
-    x = rng.standard_normal(k)
-    x /= np.linalg.norm(x)
-    sigma = 0.0
-    for _ in range(max_iter):
-        y = np.asarray(A.T @ (A @ x)).ravel()
-        norm_y = np.linalg.norm(y)
-        if norm_y == 0.0:
-            return 0.0
-        sigma_new = float(np.sqrt(norm_y))  # ||x|| = 1, so ||A^T A x|| -> sigma^2
-        x = y / norm_y
-        if abs(sigma_new - sigma) <= 0.1 * tol * sigma_new:
-            sigma = sigma_new
-            break
-        sigma = sigma_new
-    v = np.asarray(A @ x).ravel()
-    return float(np.linalg.norm(v))
 
 
 def spectral_error(V, indices, weights) -> float:

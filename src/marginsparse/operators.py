@@ -8,7 +8,7 @@ them; for a data matrix X (n x d) the sampled data is X R = X[:, idx] * w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,12 +57,6 @@ class SamplingOperator:
             out = X.tocsc()[:, self.indices].multiply(self.weights[None, :])
             return sp.csr_matrix(out)
         return np.asarray(X)[:, self.indices] * self.weights
-
-    def matrix(self) -> np.ndarray:
-        """Dense d x r matrix form of R."""
-        R = np.zeros((self.n_features, self.r))
-        R[self.indices, np.arange(self.r)] = self.weights
-        return R
 
     def selected_features(self) -> np.ndarray:
         """Distinct selected feature indices, ascending."""

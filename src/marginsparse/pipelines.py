@@ -40,6 +40,9 @@ WEIGHTED_METHODS = ("bss", "leverage", "approx-bss")
 BASELINE_METHODS = ("uniform", "rrqr", "rfe")
 METHODS = WEIGHTED_METHODS + BASELINE_METHODS
 
+# Relative slack verify_margin_bound allows both inequalities for rounding.
+BOUND_SLACK = 1e-6
+
 
 def uniform_select(d: int, r: int, seed: int) -> np.ndarray:
     """r distinct feature indices, uniform without replacement."""
@@ -233,8 +236,7 @@ def _recalibrate(op, source, C, kkt_tol):
 
 
 def _selection_report(method, mode, r, seed, source, margin_full, n_support,
-                      full_data, *, C, t, chunk_fraction, kkt_tol, meb_delta,
-                      compute_radii) -> SelectionReport:
+                      full_data, *, C, t, chunk_fraction, kkt_tol, meb_delta) -> SelectionReport:
     """Select from source, recalibrate, and add the report-only pieces.
 
     Those pieces are the margin of the sampled full_data (when given), the
@@ -252,11 +254,8 @@ def _selection_report(method, mode, r, seed, source, margin_full, n_support,
         full_sampled = LabeledDataset(op.apply(full_data.X), full_data.y)
         margin_sampled_full = solve_dual(full_sampled, C, kkt_tol).margin
     err = spectral_error(basis(), op.indices, op.weights) if method in WEIGHTED_METHODS else None
-    if compute_radii:
-        radius_full = meb_radius(source.X, meb_delta).radius
-        radius_sampled = meb_radius(sampled.X, meb_delta).radius
-    else:
-        radius_full = radius_sampled = float("nan")
+    radius_full = meb_radius(source.X, meb_delta).radius
+    radius_sampled = meb_radius(sampled.X, meb_delta).radius
     return SelectionReport(
         method=method, mode=mode, r=op.r, operator=op, margin_full=margin_full,
         margin_sampled=model_sampled.margin,
@@ -269,8 +268,7 @@ def _selection_report(method, mode, r, seed, source, margin_full, n_support,
 def supervised_select(data: LabeledDataset, method: str, r: int, C: float = 1.0,
                       seed: int | None = None, *, t: int | None = None,
                       chunk_fraction: float = 0.1, kkt_tol: float = 1e-4,
-                      meb_delta: float = 1e-3,
-                      compute_radii: bool = True) -> SelectionReport:
+                      meb_delta: float = 1e-3) -> SelectionReport:
     """Select on the support-vector set, recalibrate on it, report margins.
 
     margin_full is the margin of the SVM solved on the support vectors in
@@ -283,21 +281,19 @@ def supervised_select(data: LabeledDataset, method: str, r: int, C: float = 1.0,
     return _selection_report(
         method, "supervised", r, seed, sv_data, sv_model.margin, sv_data.n,
         data, C=C, t=t, chunk_fraction=chunk_fraction, kkt_tol=kkt_tol,
-        meb_delta=meb_delta, compute_radii=compute_radii)
+        meb_delta=meb_delta)
 
 
 def unsupervised_select(data: LabeledDataset, method: str, r: int, C: float = 1.0,
                         seed: int | None = None, *, t: int | None = None,
-                        kkt_tol: float = 1e-4, meb_delta: float = 1e-3,
-                        compute_radii: bool = True) -> SelectionReport:
+                        kkt_tol: float = 1e-4, meb_delta: float = 1e-3) -> SelectionReport:
     """Select from the full data matrix; labels are used only to fit SVMs."""
     _check_mode("unsupervised", method)
     full_model = solve_dual(data, C, kkt_tol)
     return _selection_report(
         method, "unsupervised", r, seed, data, full_model.margin,
         int(full_model.support_indices.size), None, C=C, t=t,
-        chunk_fraction=0.1, kkt_tol=kkt_tol, meb_delta=meb_delta,
-        compute_radii=compute_radii)
+        chunk_fraction=0.1, kkt_tol=kkt_tol, meb_delta=meb_delta)
 
 
 @dataclass(frozen=True)
@@ -322,7 +318,7 @@ class BoundReport:
     epsilon_hat: float
 
 
-def verify_margin_bound(report: SelectionReport, slack: float = 1e-6) -> BoundReport:
+def verify_margin_bound(report: SelectionReport) -> BoundReport:
     """Test the measured-error margin inequality and the B^2/margin^2 ratio.
 
     Margin:  margin_sampled^2 >= (1 - e/(1-e)) * margin_full^2   with
@@ -331,7 +327,6 @@ def verify_margin_bound(report: SelectionReport, slack: float = 1e-6) -> BoundRe
     Ratio:  (B~/margin_sampled)^2 <= ((1+eh)/(1-eh)) * (B/margin_full)^2
     where eh combines the margin factor e/(1-e) with the radius factor
     (1+delta)^2 (1+e) - 1; the (1+delta)^2 covers the approximate ball.
-    Requires radii to have been computed.
     """
     e = report.spectral_error
     nan = float("nan")
@@ -346,7 +341,7 @@ def verify_margin_bound(report: SelectionReport, slack: float = 1e-6) -> BoundRe
     else:
         lhs = gs**2
         rhs = (1.0 - e / (1.0 - e)) * gf**2
-        margin_status = "pass" if lhs >= rhs - slack * abs(rhs) else "fail"
+        margin_status = "pass" if lhs >= rhs - BOUND_SLACK * abs(rhs) else "fail"
 
     eps_margin = e / (1.0 - e) if e < 1.0 else float("inf")
     eps_radius = (1.0 + report.meb_delta) ** 2 * (1.0 + e) - 1.0
@@ -357,7 +352,7 @@ def verify_margin_bound(report: SelectionReport, slack: float = 1e-6) -> BoundRe
     else:
         rlhs = report.radius_sampled**2 / gs**2
         rrhs = (1.0 + eps_hat) / (1.0 - eps_hat) * report.radius_full**2 / gf**2
-        ratio_status = "pass" if rlhs <= rrhs * (1.0 + slack) else "fail"
+        ratio_status = "pass" if rlhs <= rrhs * (1.0 + BOUND_SLACK) else "fail"
     return BoundReport(e, gf, gs, report.radius_full, report.radius_sampled,
                        margin_status, lhs, rhs, ratio_status, rlhs, rrhs,
                        eps_hat)

@@ -11,40 +11,25 @@ only rescale the singular values, not the right singular vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .linalg import DEFAULT_RANK_THRESHOLD, check_matrix, thin_svd, to_dense
+from .linalg import check_matrix, thin_svd, to_dense
 from .bss import bss_select
 from .operators import SamplingOperator
 
 
-@dataclass(frozen=True)
-class SketchConfig:
-    t: int
-    seed: int
-
-    def __post_init__(self):
-        if self.t < 1:
-            raise ValueError("sketch needs at least one row")
-
-
-def gaussian_sketch(X, cfg: SketchConfig) -> np.ndarray:
-    """Return G @ X with G (t x p) i.i.d. standard normal from cfg.seed."""
+def gaussian_sketch(X, t: int, seed: int) -> np.ndarray:
+    """Return G @ X with G (t x p) i.i.d. standard normal from seed."""
+    if t < 1:
+        raise ValueError("sketch needs at least one row")
     check_matrix(X, name="X")
-    p = X.shape[0]
-    G = np.random.default_rng(cfg.seed).standard_normal((cfg.t, p))
+    G = np.random.default_rng(seed).standard_normal((t, X.shape[0]))
     return np.asarray(G @ to_dense(X))
 
 
-def approx_bss_select(X, t: int, r: int, seed: int,
-                      rank_threshold: float = DEFAULT_RANK_THRESHOLD) -> SamplingOperator:
-    """Deterministic selection on the right singular basis of a sketch of X.
-
-    Equivalent to bss_select(thin_svd(gaussian_sketch(X)).V, r); the working
+def approx_bss_select(X, t: int, r: int, seed: int) -> SamplingOperator:
+    """Deterministic selection on the right singular basis of a sketch of X:
+    bss_select(thin_svd(gaussian_sketch(X, t, seed)).V, r).  The working
     dimension ell is the numerical rank of GX, so r must exceed it.
     """
-    Xs = gaussian_sketch(X, SketchConfig(t, seed))
-    V = thin_svd(Xs, rank_threshold=rank_threshold).V
-    return bss_select(V, r)
+    return bss_select(thin_svd(gaussian_sketch(X, t, seed)).V, r)

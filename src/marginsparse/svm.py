@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError
 from .data import LabeledDataset
-from .linalg import is_sparse, to_dense
+from .linalg import to_dense
 
 SV_THRESHOLD_REL = 1e-6  # alpha > 1e-6 * C counts as a support vector
 
@@ -63,7 +63,7 @@ def solve_dual(data: LabeledDataset, C: float = 1.0, kkt_tol: float = 1e-4,
     if max_passes is None:
         max_passes = 10 * n
 
-    X = to_dense(data.X) if is_sparse(data.X) else np.asarray(data.X, dtype=np.float64)
+    X = to_dense(data.X)
     y = data.y
     K = X @ X.T
     Kdiag = np.diag(K).copy()

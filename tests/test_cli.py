@@ -263,6 +263,20 @@ def test_feature_freq_ranking(capsys, lowrank_path):
     assert "selected in" in out.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--method", "rfe", "--mode", "unsupervised", "--features", "5"],
+    ["--method", "rrqr", "--features", "11"],
+])
+def test_feature_freq_with_every_cell_skipped(capsys, lowrank_path, argv):
+    # rfe has no unsupervised form, and rrqr cannot pick 11 of 10 columns
+    code, out = run_json(capsys, ["feature-freq", "--data", lowrank_path,
+                                  "--folds", "3", "--repeats", "1", *argv])
+    assert code == 0, out.err
+    doc = json.loads(out.out)
+    assert doc["r"] == int(argv[-1])
+    assert (doc["cells"], doc["top"], doc["frequencies"]) == (0, [], [])
+
+
 # -------------------------------------------------------------- entry point
 
 def _console_entry_point():

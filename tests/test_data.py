@@ -8,7 +8,6 @@ from marginsparse.data import (
     FoldPlan,
     LabeledDataset,
     apply_fold,
-    drop_zero_columns,
     fold_test_indices,
     gen_synthetic,
     load_dataset,
@@ -118,9 +117,10 @@ def test_parse_csv_with_header():
 
 
 def test_parse_csv_headerless_and_first_column():
-    ds = parse_csv("1,0.5,1.0\n-1,-0.5,2.0\n", label_column="first")
+    # a numeric first line is data, and the first column is a feature
+    ds = parse_csv("1,0.5,1\n-1,2.0,-1\n")
     np.testing.assert_array_equal(ds.y, [1.0, -1.0])
-    np.testing.assert_allclose(ds.dense(), [[0.5, 1.0], [-0.5, 2.0]])
+    np.testing.assert_allclose(ds.dense(), [[1.0, 0.5], [-1.0, 2.0]])
 
 
 def test_parse_csv_errors():
@@ -128,8 +128,6 @@ def test_parse_csv_errors():
         parse_csv("")
     with pytest.raises(DataError, match="line 3"):
         parse_csv("1.0,1\n2.0,-1\n3.0\n")
-    with pytest.raises(DataError):
-        parse_csv("1.0,5\n", label_column="middle")
 
 
 def test_load_dataset_dispatch(tmp_path):
@@ -141,8 +139,6 @@ def test_load_dataset_dispatch(tmp_path):
     csv_path.write_text("0.5,1\n-0.5,-1\n")
     ds2 = load_dataset(csv_path)
     assert ds2.d == 1
-    with pytest.raises(DataError):
-        load_dataset(svm_path, fmt="parquet")
 
 
 # ---------------------------------------------------------------- synthetic
@@ -179,15 +175,6 @@ def test_gen_synthetic_validation():
         gen_synthetic(n=10, d=5, k=6, seed=0)
     with pytest.raises(DataError):
         gen_synthetic(n=1, d=5, k=2, seed=0)
-
-
-def test_drop_zero_columns():
-    X = sp.csr_matrix(np.array([[1.0, 0.0, 2.0], [0.5, 0.0, 0.0]]))
-    ds, keep = drop_zero_columns(LabeledDataset(X, np.array([1, -1])))
-    np.testing.assert_array_equal(keep, [0, 2])
-    np.testing.assert_allclose(ds.dense(), [[1.0, 2.0], [0.5, 0.0]])
-    dense_ds, keep2 = drop_zero_columns(LabeledDataset(X.toarray(), np.array([1, -1])))
-    np.testing.assert_array_equal(keep2, [0, 2])
 
 
 # -------------------------------------------------------------------- folds

@@ -77,7 +77,7 @@ def test_select_unbiased_gram():
     grams = np.empty((trials, 3, 3))
     for s in range(trials):
         op = leverage_select(V, 8, seed=1000 + s)
-        RV = op.matrix().T @ V
+        RV = V[op.indices] * op.weights[:, None]
         grams[s] = RV.T @ RV
     mean = grams.mean(axis=0)
     se = grams.std(axis=0, ddof=1) / np.sqrt(trials)

@@ -5,8 +5,7 @@ import scipy.sparse as sp
 import marginsparse.linalg as linalg
 from marginsparse.errors import DataError, NumericalError
 from marginsparse.linalg import (orthonormality_defect, require_orthonormal,
-                                 row_norms_sq, spectral_error, spectral_norm,
-                                 thin_svd)
+                                 row_norms_sq, spectral_error, thin_svd)
 from oracles import eig_spectral_norm, svd_reference
 from test_acceptance import _rank10_data
 
@@ -136,35 +135,6 @@ def test_thin_svd_rejects_nonfinite():
         thin_svd(np.array([[np.inf, 1.0]]))
     with pytest.raises(DataError):
         thin_svd(np.array([1.0, 2.0]))  # 1-d
-
-
-def test_spectral_norm_trivial():
-    assert spectral_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0)
-    assert spectral_norm(np.eye(5)) == pytest.approx(1.0)
-    assert spectral_norm(np.zeros((4, 2))) == 0.0
-
-
-def test_spectral_norm_2x2_closed_form():
-    # eigenvalues of M'M for [[1,2],[3,4]] are (30 +- sqrt(884))/2
-    expected = np.sqrt((30.0 + np.sqrt(884.0)) / 2.0)
-    got = spectral_norm(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert got == pytest.approx(expected, rel=1e-9)
-    assert got == pytest.approx(5.4649857, rel=1e-6)
-
-
-def test_spectral_norm_matches_svd_and_transpose():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        M = rng.standard_normal((int(rng.integers(1, 40)),
-                                 int(rng.integers(1, 40))))
-        s1 = thin_svd(M).singular_values[0]
-        assert spectral_norm(M) == pytest.approx(s1, rel=1e-6)
-        assert spectral_norm(M.T) == spectral_norm(M)
-
-
-def test_spectral_norm_sparse():
-    M = sp.csr_matrix(np.array([[0.0, 2.0], [0.0, 0.0]]))
-    assert spectral_norm(M) == pytest.approx(2.0)
 
 
 def test_spectral_error_exact_case():

@@ -5,21 +5,27 @@ import scipy.sparse as sp
 from marginsparse.operators import SamplingOperator
 
 
+def dense_R(op):
+    """The d x r matrix R whose j-th column is weights[j] * e_{indices[j]}."""
+    R = np.zeros((op.n_features, op.r))
+    R[op.indices, np.arange(op.r)] = op.weights
+    return R
+
+
 def test_apply_matches_matrix_product():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((5, 7))
     op = SamplingOperator(7, np.array([2, 0, 6]), np.array([1.5, 0.5, 2.0]))
-    np.testing.assert_allclose(op.apply(X), X @ op.matrix())
+    np.testing.assert_allclose(op.apply(X), X @ dense_R(op))
     Xs = sp.csr_matrix(X)
-    np.testing.assert_allclose(op.apply(Xs).toarray(), X @ op.matrix())
+    np.testing.assert_allclose(op.apply(Xs).toarray(), X @ dense_R(op))
 
 
 def test_repeated_indices_are_separate_columns():
     op = SamplingOperator(3, np.array([1, 1]), np.array([2.0, 3.0]))
     assert op.r == 2
-    R = op.matrix()
-    np.testing.assert_allclose(R[:, 0], [0, 2.0, 0])
-    np.testing.assert_allclose(R[:, 1], [0, 3.0, 0])
+    X = np.arange(6.0).reshape(2, 3)
+    np.testing.assert_array_equal(op.apply(X), [[2.0, 3.0], [8.0, 12.0]])
     np.testing.assert_array_equal(op.selected_features(), [1])
 
 
@@ -27,7 +33,8 @@ def test_identity_operator():
     X = np.arange(12.0).reshape(3, 4)
     op = SamplingOperator.identity(4)
     np.testing.assert_array_equal(op.apply(X), X)
-    np.testing.assert_array_equal(op.matrix(), np.eye(4))
+    np.testing.assert_array_equal(op.indices, np.arange(4))
+    np.testing.assert_array_equal(op.weights, np.ones(4))
 
 
 def test_validation():

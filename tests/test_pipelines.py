@@ -142,11 +142,11 @@ def test_unsupervised_label_oblivious():
     data = rank_limited(30, 40, rank=5, seed=10)
     flipped = LabeledDataset(data.X, -data.y)
     for method, seed in (("bss", None), ("leverage", 4), ("uniform", 4)):
-        a = unsupervised_select(data, method, r=12, seed=seed, compute_radii=False)
-        b = unsupervised_select(flipped, method, r=12, seed=seed, compute_radii=False)
+        a = unsupervised_select(data, method, r=12, seed=seed)
+        b = unsupervised_select(flipped, method, r=12, seed=seed)
         np.testing.assert_array_equal(a.selected_indices, b.selected_indices)
-    a = unsupervised_select(data, "rrqr", r=12, compute_radii=False)
-    b = unsupervised_select(flipped, "rrqr", r=12, compute_radii=False)
+    a = unsupervised_select(data, "rrqr", r=12)
+    b = unsupervised_select(flipped, "rrqr", r=12)
     np.testing.assert_array_equal(a.selected_indices, b.selected_indices)
 
 
@@ -160,20 +160,20 @@ def test_mode_equivalence_when_all_points_are_support_vectors():
     # With C small every alpha hits the box, so X^sv = X^tr and the two
     # protocols select identically for the V-based methods.
     data = rank_limited(24, 30, rank=6, seed=12, push=0.1)
-    sup = supervised_select(data, "bss", r=20, C=1e-3, compute_radii=False)
-    uns = unsupervised_select(data, "bss", r=20, C=1e-3, compute_radii=False)
+    sup = supervised_select(data, "bss", r=20, C=1e-3)
+    uns = unsupervised_select(data, "bss", r=20, C=1e-3)
     assert sup.n_support == data.n
     np.testing.assert_array_equal(sup.selected_indices, uns.selected_indices)
     np.testing.assert_allclose(sup.weights, uns.weights, rtol=1e-12)
 
-    sup = supervised_select(data, "leverage", r=20, C=1e-3, seed=5, compute_radii=False)
-    uns = unsupervised_select(data, "leverage", r=20, C=1e-3, seed=5, compute_radii=False)
+    sup = supervised_select(data, "leverage", r=20, C=1e-3, seed=5)
+    uns = unsupervised_select(data, "leverage", r=20, C=1e-3, seed=5)
     np.testing.assert_array_equal(sup.selected_indices, uns.selected_indices)
 
 
 def test_identity_sampling_preserves_margin():
     data = gen_synthetic(n=30, d=12, k=3, seed=13)
-    rep = supervised_select(data, "uniform", r=12, seed=0, compute_radii=False)
+    rep = supervised_select(data, "uniform", r=12, seed=0)
     assert rep.margin_sampled == pytest.approx(rep.margin_full, rel=1e-8)
 
 
@@ -245,8 +245,7 @@ def test_verify_leverage_monte_carlo():
     data = rank_limited(30, 100, rank=5, seed=16)
     passes = 0
     for seed in range(20):
-        rep = unsupervised_select(data, "leverage", r=80, seed=seed,
-                                  compute_radii=False)
+        rep = unsupervised_select(data, "leverage", r=80, seed=seed)
         chk = verify_margin_bound(rep)
         if chk.margin_status == "pass":
             passes += 1
@@ -319,10 +318,10 @@ def per_cell_cv(data, methods, r, folds, repeats, seed, C=1.0, mode="supervised"
             if mode == "supervised":
                 rep = supervised_select(train, method, r, C=C, seed=cell_seed, t=t,
                                         chunk_fraction=chunk_fraction,
-                                        kkt_tol=kkt_tol, compute_radii=False)
+                                        kkt_tol=kkt_tol)
             else:
                 rep = unsupervised_select(train, method, r, C=C, seed=cell_seed,
-                                          t=t, kkt_tol=kkt_tol, compute_radii=False)
+                                          t=t, kkt_tol=kkt_tol)
             sampled_test = LabeledDataset(rep.operator.apply(test.X), test.y)
             return CvCell(method, r, repeat, fold,
                           error_rate(rep.model_sampled, sampled_test),

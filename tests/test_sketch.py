@@ -5,7 +5,7 @@ import pytest
 
 from marginsparse.data import LabeledDataset, gen_synthetic
 from marginsparse.linalg import thin_svd
-from marginsparse.sketch import SketchConfig, approx_bss_select, gaussian_sketch
+from marginsparse.sketch import approx_bss_select, gaussian_sketch
 from marginsparse.svm import solve_dual
 from marginsparse.bss import bss_select
 
@@ -13,14 +13,13 @@ from oracles import sampled_gram_error
 
 
 def test_sketch_of_zero_is_zero():
-    Xs = gaussian_sketch(np.zeros((5, 7)), SketchConfig(t=3, seed=0))
+    Xs = gaussian_sketch(np.zeros((5, 7)), t=3, seed=0)
     assert Xs.shape == (3, 7)
     np.testing.assert_array_equal(Xs, np.zeros((3, 7)))
 
 
 def test_sketch_of_identity_is_g_itself():
-    cfg = SketchConfig(t=4, seed=11)
-    Xs = gaussian_sketch(np.eye(4), cfg)
+    Xs = gaussian_sketch(np.eye(4), t=4, seed=11)
     G = np.random.default_rng(11).standard_normal((4, 4))
     np.testing.assert_allclose(Xs, G)
 
@@ -28,23 +27,23 @@ def test_sketch_of_identity_is_g_itself():
 def test_sketch_preserves_rank():
     rng = np.random.default_rng(1)
     X = rng.standard_normal((10, 3)) @ rng.standard_normal((3, 20))
-    Xs = gaussian_sketch(X, SketchConfig(t=8, seed=2))
+    Xs = gaussian_sketch(X, t=8, seed=2)
     assert thin_svd(Xs).rank == 3
 
 
 def test_sketch_deterministic():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((6, 9))
-    a = gaussian_sketch(X, SketchConfig(t=4, seed=5))
-    b = gaussian_sketch(X, SketchConfig(t=4, seed=5))
+    a = gaussian_sketch(X, t=4, seed=5)
+    b = gaussian_sketch(X, t=4, seed=5)
     np.testing.assert_array_equal(a, b)
-    c = gaussian_sketch(X, SketchConfig(t=4, seed=6))
+    c = gaussian_sketch(X, t=4, seed=6)
     assert not np.allclose(a, c)
 
 
 def test_sketch_config_validation():
-    with pytest.raises(ValueError):
-        SketchConfig(t=0, seed=0)
+    with pytest.raises(ValueError, match="at least one row"):
+        gaussian_sketch(np.eye(3), t=0, seed=0)
 
 
 def test_approx_select_rank2_matrix():
@@ -54,7 +53,7 @@ def test_approx_select_rank2_matrix():
     assert op.r == 16
     assert op.n_features == 30
     # the sketched right factor obeys the deterministic selector's bound
-    V = thin_svd(gaussian_sketch(X, SketchConfig(8, 7))).V
+    V = thin_svd(gaussian_sketch(X, 8, 7)).V
     ell = V.shape[1]
     assert ell == 2
     assert sampled_gram_error(V, op.indices, op.weights) <= 3 * math.sqrt(ell / 16) + 1e-9
