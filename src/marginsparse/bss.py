@@ -13,16 +13,19 @@ of R^T V lies in [1 - sqrt(ell/r), 1 + sqrt(ell/r)], hence
 
     ||V^T V - V^T R R^T V||_2 <= 3 sqrt(ell / r).
 
-Each step picks the acceptable untaken row of largest norm.  Rows are
-scored lazily: in descending-norm order, SCORE_BLOCK rows at a time,
-stopping at the first block that holds an acceptable untaken row.  The
-scores need the two shifted resolvents (A - (L+1)I)^-1 and
-((U+delta_upper)I - A)^-1, not the spectrum of A.  A step costs two
-Cholesky factors and their two triangular inverses, one more factor-only
-Cholesky that tests lambda_max < U, and one ell x 2ell GEMM per block of
-rows scored.  The unshifted potentials tr (A - L I)^-1 and tr (U I - A)^-1
-are carried from one step to the next by Sherman-Morrison.  A step scores
-all d rows only when every acceptable row is already taken.
+Each step picks the acceptable untaken row of largest norm.  Only the
+untaken rows are scored, lazily: in their stable descending-norm order,
+SCORE_BLOCK rows at a time, stopping at the first block that holds an
+acceptable one; the pick then leaves that order.  The scores need the two
+shifted resolvents (A - (L+1)I)^-1 and ((U+delta_upper)I - A)^-1, not the
+spectrum of A.  A step costs two Cholesky factors and their two
+triangular inverses, one more factor-only Cholesky that tests
+lambda_max < U, and one ell x 2ell GEMM per block of rows scored, against
+both inverses side by side in one buffer.  The unshifted potentials
+tr (A - L I)^-1 and tr (U I - A)^-1 are carried from one step to the next
+by Sherman-Morrison.  Only when no untaken row is acceptable are the taken
+rows scored too, in their own descending-norm order, and the first
+acceptable one is picked again; such a step scores all d rows.
 
 The procedure is fully deterministic: no randomness anywhere.
 """
@@ -54,8 +57,8 @@ class BssDiagnostics:
     Cholesky factors, so it is 0; only a failing run takes a spectrum, and
     that run raises.
     score_evaluations counts rows scored: per iteration, the whole blocks
-    of the descending-norm order up to the one holding the pick, or all d
-    rows on an iteration that reselects a taken row.
+    of the untaken rows' descending-norm order up to the one holding the
+    pick, or all d rows on an iteration that reselects a taken row.
     """
 
     eig_count: int
@@ -64,10 +67,10 @@ class BssDiagnostics:
     reselections: int
 
 
-def _inverse(M):
-    """(M^-1, tr M^-1) for symmetric positive definite M, or None when its
-    Cholesky factor fails.  With M = C^T C, M^-1 = C^-1 C^-T, whose trace
-    is ||C^-1||_F^2.  M is overwritten."""
+def _inverse(M, out):
+    """Write M^-1 into out and return tr M^-1, for symmetric positive
+    definite M; None when its Cholesky factor fails.  With M = C^T C,
+    M^-1 = C^-1 C^-T, whose trace is ||C^-1||_F^2.  M is overwritten."""
     C, info = dpotrf(M.T, overwrite_a=1)  # M = M^T; its F-order view factors in place
     if info != 0:
         return None
@@ -77,9 +80,23 @@ def _inverse(M):
     # Upper triangle of Ci Ci^T, zeros below.  From ell ~ 80, OpenBLAS's
     # threaded GEMM takes several times as long for the full product.
     S = dsyrk(1.0, Ci)
-    Q = S + S.T
-    Q.flat[::Q.shape[0] + 1] *= 0.5  # the diagonal was doubled; halving is exact
-    return Q, float(np.trace(S))
+    np.add(S, S.T, out=out)
+    out.flat[::out.shape[0] + 1] *= 0.5  # the diagonal was doubled; halving is exact
+    return float(np.trace(S))
+
+
+def _score(Vb, Q, dphi_l, dphi_u):
+    """Lower and upper scores of the rows Vb against Q = [Q_lo | Q_hi], with
+    their acceptability and v'Q^2 v, v'Q v per half, from one GEMM."""
+    ell = Vb.shape[1]
+    Y = (Vb @ Q).reshape(-1, 2, ell)
+    quad = np.einsum("ijk,ijk->ij", Y, Y)
+    lin = np.einsum("ijk,ik->ij", Y, Vb)
+    lsc = quad[:, 0] / dphi_l - lin[:, 0]
+    usc = quad[:, 1] / dphi_u + lin[:, 1]
+    slack = SCORE_SLACK * np.maximum(np.abs(lsc), np.abs(usc))
+    eligible = (usc <= lsc + slack) & (usc + lsc > 0.0)
+    return lsc, usc, eligible, quad, lin
 
 
 def _spectrum_error(A, tau, L, U, lower_shift=False):
@@ -120,10 +137,13 @@ def bss_select(V, r: int, *, return_diagnostics: bool = False):
     # Stable sort: rows of equal norm keep ascending index order, so the
     # first eligible row in this order is the largest-norm, lowest-index one.
     order = np.argsort(-row_norms_sq(V), kind="stable")
-    V_sorted = V[order]
+    # live[n_taken:] holds the untaken rows in that order, live[:n_taken]
+    # the taken ones in the order they were first picked.
+    live = order.copy()
+    n_taken = 0
     A = np.zeros((ell, ell))
     eye = np.eye(ell)
-    taken = np.zeros(d, dtype=bool)  # by position in `order`
+    Q = np.empty((ell, 2 * ell))  # [Q_lo | Q_hi], the two shifted resolvents
     indices = np.empty(r, dtype=np.intp)
     steps = np.empty(r)
     score_evals = 0
@@ -139,39 +159,46 @@ def bss_select(V, r: int, *, return_diagnostics: bool = False):
         # lambda_min > L + 1 > L exactly when A - (L+1) I has one.
         if dpotrf((U * eye - A).T, clean=0, overwrite_a=1)[1] != 0:
             raise _spectrum_error(A, tau, L, U)
-        lo = _inverse(A - (L + delta_lower) * eye)
-        if lo is None:
+        tr_lo = _inverse(A - (L + delta_lower) * eye, Q[:, :ell])
+        if tr_lo is None:
             raise _spectrum_error(A, tau, L, U, lower_shift=True)
-        hi = _inverse((U + delta_upper) * eye - A)
-        if hi is None:
+        tr_hi = _inverse((U + delta_upper) * eye - A, Q[:, ell:])
+        if tr_hi is None:
             raise _spectrum_error(A, tau, L, U)
-        (Q_lo, tr_lo), (Q_hi, tr_hi) = lo, hi
         dphi_l = tr_lo - phi_l
         dphi_u = phi_u - tr_hi
-        Q = np.hstack([Q_lo, Q_hi])
 
-        # Per row: v'Q_lo v, v'Q_hi v and v'Q_lo^2 v, v'Q_hi^2 v from one GEMM.
         scored = []
         pick = None
-        for start in range(0, d, SCORE_BLOCK):
-            Vb = V_sorted[start:start + SCORE_BLOCK]
-            Y = (Vb @ Q).reshape(-1, 2, ell)
-            quad = np.einsum("ijk,ijk->ij", Y, Y)
-            lin = np.einsum("ijk,ik->ij", Y, Vb)
-            lsc = quad[:, 0] / dphi_l - lin[:, 0]
-            usc = quad[:, 1] / dphi_u + lin[:, 1]
-            score_evals += Vb.shape[0]
-            slack = SCORE_SLACK * np.maximum(np.abs(lsc), np.abs(usc))
-            eligible = (usc <= lsc + slack) & (usc + lsc > 0.0)
-            hits = np.flatnonzero(eligible & ~taken[start:start + SCORE_BLOCK])
+        for start in range(n_taken, d, SCORE_BLOCK):
+            rows = live[start:start + SCORE_BLOCK]
+            lsc, usc, eligible, quad, lin = _score(V[rows], Q, dphi_l, dphi_u)
+            score_evals += rows.size
+            hits = np.flatnonzero(eligible)
             if hits.size:
                 k = hits[0]
-                pick = start + k, lsc[k], usc[k], quad[k], lin[k]
+                i = rows[k]
+                # Drop the pick from the untaken order in place: the
+                # untaken rows before it move back one slot, and it takes
+                # the first, which joins the taken prefix.
+                j = start + k
+                live[n_taken + 1:j + 1] = live[n_taken:j]
+                live[n_taken] = i
+                n_taken += 1
+                pick = i, lsc[k], usc[k], quad[k], lin[k]
                 break
             scored.append((lsc, usc, eligible, quad, lin))
 
         if pick is None:
-            # Every eligible row is taken, and all d rows have been scored.
+            # No untaken row is acceptable: score the taken rows too, in
+            # their own descending-norm order, and pick the first acceptable.
+            is_taken = np.zeros(d, dtype=bool)
+            is_taken[live[:n_taken]] = True
+            rows = order[is_taken[order]]
+            for start in range(0, n_taken, SCORE_BLOCK):
+                scored.append(_score(V[rows[start:start + SCORE_BLOCK]], Q, dphi_l, dphi_u))
+            score_evals += n_taken
+            # All d rows, the untaken ones first.
             lsc, usc, eligible, quad, lin = (np.concatenate(a) for a in zip(*scored))
             if not eligible.any():
                 lam = np.linalg.eigvalsh(A)
@@ -182,12 +209,12 @@ def bss_select(V, r: int, *, return_diagnostics: bool = False):
                     f"spectrum [{lam[0]:.9g}, {lam[-1]:.9g}], barriers ({L:.9g}, {U:.9g}))"
                 )
             k = np.flatnonzero(eligible)[0]  # allow re-selection
-            pick = k, lsc[k], usc[k], quad[k], lin[k]
+            pick = rows[k - (d - n_taken)], lsc[k], usc[k], quad[k], lin[k]
             reselections += 1
-        pos, l_i, u_i, (vq2_lo, vq2_hi), (vq_lo, vq_hi) = pick
+        i, l_i, u_i, (vq2_lo, vq2_hi), (vq_lo, vq_hi) = pick
 
         t = 2.0 / (u_i + l_i)
-        v = V_sorted[pos]
+        v = V[i]
         A += t * np.outer(v, v)
         # Next step's potentials: its barriers are this step's shifted ones,
         # so tr (A + t v v' - (L+1) I)^-1 and tr ((U+dU) I - A - t v v')^-1.
@@ -196,8 +223,7 @@ def bss_select(V, r: int, *, return_diagnostics: bool = False):
         if denom <= 0.0:
             raise _spectrum_error(A, tau + 1, L + delta_lower, U + delta_upper)
         phi_u = tr_hi + t * vq2_hi / denom
-        taken[pos] = True
-        indices[tau] = order[pos]
+        indices[tau] = i
         steps[tau] = t
 
     weights = np.sqrt(steps) * math.sqrt((1.0 - ratio) / r)

@@ -361,6 +361,12 @@ def main(argv=None) -> int:
         parser.error("--data is required for margin/radius verification")
     if getattr(args, "bound", None) in ("margin", "radius") and args.features is None:
         parser.error("--features is required for margin/radius verification")
+    if getattr(args, "bound", None) == "spectral":
+        # V is d x l with orthonormal columns, so l cannot exceed d.
+        if not 1 <= args.l <= args.d:
+            parser.error(f"--l must be between 1 and --d ({args.d}), got {args.l}")
+        if args.trials < 1:
+            parser.error(f"--trials must be at least 1, got {args.trials}")
     try:
         return args.func(args)
     except DataError as e:

@@ -289,9 +289,10 @@ def bss_replay(V, r, score_slack, block):
 
     Picks the eligible untaken row of largest squared norm (lowest index
     among ties), or, when every eligible row is taken, the largest eligible
-    row again.  rows_scored is what a lazy scan in stable descending-norm
-    order with blocks of `block` rows pays: a normal step ends at the block
-    holding its pick (capped at d), a reselection step scores all d rows.
+    row again.  rows_scored is what a lazy scan of the untaken rows in
+    stable descending-norm order, with blocks of `block` rows, pays: a
+    normal step ends at the block holding its pick (capped at the number
+    of untaken rows), a reselection step scores all d rows.
     """
     V = np.asarray(V, dtype=np.float64)
     d, ell = V.shape
@@ -318,9 +319,11 @@ def bss_replay(V, r, score_slack, block):
         cand = fresh if fresh.size else np.flatnonzero(eligible)
         i = cand[np.argmax(row_sq[cand])]
         if fresh.size:
-            # Position of row i in stable descending-norm order.
-            pos = int(np.sum(row_sq > row_sq[i]) + np.sum(row_sq[:i] == row_sq[i]))
-            rows_scored += min(math.ceil((pos + 1) / block) * block, d)
+            # Position of row i among the untaken rows in stable
+            # descending-norm order.
+            ahead = (row_sq > row_sq[i]) | ((row_sq == row_sq[i]) & (np.arange(d) < i))
+            pos = int(np.sum(ahead & ~taken))
+            rows_scored += min(math.ceil((pos + 1) / block) * block, int(np.sum(~taken)))
         else:
             reselections += 1
             rows_scored += d
@@ -345,9 +348,10 @@ def bss_reference(V, r, score_slack, block):
     """The lazy BSS loop with one ell x ell eigh per step: the reference for
     the Cholesky-factored loop in bss_select.
 
-    Same descending-norm block scan, same scores (through the eigenbasis of
-    A), same eligibility test, step size and weights.  Barrier failures
-    raise ArithmeticError with bss_select's message text.
+    Same block scan of the untaken rows in descending-norm order, falling
+    back to the taken rows when none is acceptable; same scores (through
+    the eigenbasis of A), eligibility test, step size and weights.  Barrier
+    failures raise ArithmeticError with bss_select's message text.
     """
     V = np.ascontiguousarray(np.asarray(V, dtype=np.float64))
     d, ell = V.shape
@@ -387,23 +391,33 @@ def bss_reference(V, r, score_slack, block):
         inv_lo, inv_lo2 = 1.0 / gap_lo, gap_lo**-2
         inv_hi, inv_hi2 = 1.0 / gap_hi, gap_hi**-2
 
-        scored = []
-        pick = None
-        for start in range(0, d, block):
-            P2 = (V_sorted[start:start + block] @ W) ** 2
+        def score(positions):
+            P2 = (V_sorted[positions] @ W) ** 2
             lsc = (P2 @ inv_lo2) / dphi_l - P2 @ inv_lo
             usc = (P2 @ inv_hi2) / dphi_u + P2 @ inv_hi
-            score_evals += P2.shape[0]
             slack = score_slack * np.maximum(np.abs(lsc), np.abs(usc))
-            eligible = (usc <= lsc + slack) & (usc + lsc > 0.0)
-            hits = np.flatnonzero(eligible & ~taken[start:start + block])
+            return lsc, usc, (usc <= lsc + slack) & (usc + lsc > 0.0)
+
+        untaken = np.flatnonzero(~taken)
+        scored = []
+        pick = None
+        for start in range(0, untaken.size, block):
+            positions = untaken[start:start + block]
+            lsc, usc, eligible = score(positions)
+            score_evals += positions.size
+            hits = np.flatnonzero(eligible)
             if hits.size:
                 k = hits[0]
-                pick = start + k, lsc[k], usc[k]
+                pick = positions[k], lsc[k], usc[k]
                 break
             scored.append((lsc, usc, eligible))
 
         if pick is None:
+            # No untaken row is acceptable: score the taken ones as well.
+            taken_positions = np.flatnonzero(taken)
+            for start in range(0, taken_positions.size, block):
+                scored.append(score(taken_positions[start:start + block]))
+            score_evals += taken_positions.size
             lsc, usc, eligible = (np.concatenate(a) for a in zip(*scored))
             if not eligible.any():
                 raise ArithmeticError(
@@ -413,7 +427,7 @@ def bss_reference(V, r, score_slack, block):
                     f"spectrum [{lam[0]:.9g}, {lam[-1]:.9g}], barriers ({L:.9g}, {U:.9g}))"
                 )
             k = np.flatnonzero(eligible)[0]  # allow re-selection
-            pick = k, lsc[k], usc[k]
+            pick = np.concatenate([untaken, taken_positions])[k], lsc[k], usc[k]
             reselections += 1
         pos, l_i, u_i = pick
 

@@ -261,6 +261,47 @@ def test_failed_factor_names_iteration_spectrum_and_barriers(monkeypatch, factor
         rf"vs barriers \({L:.9g}, {U:.9g}\)", str(exc.value))
 
 
+@pytest.mark.parametrize("k", [0, 22])
+def test_no_acceptable_column_reports_the_best_row_of_all_d(monkeypatch, k):
+    # From step k on, SCORE_SLACK = -inf makes every row unacceptable.  The
+    # error must name step k and give max lscore-uscore over all d rows,
+    # the taken ones included: at k = 22 that maximum sits on a taken row,
+    # well above the best untaken one.
+    V, r = random_orthonormal(200, 5, seed=25), 40
+    d, ell = V.shape
+    healthy, diag = bss_select(V, r, return_diagnostics=True)
+    real, calls = bss.dpotrf, []
+
+    def counting(M, *args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3 * k + 1:  # the first factor of step k
+            monkeypatch.setattr(bss, "SCORE_SLACK", -np.inf)
+        return real(M, *args, **kwargs)
+
+    monkeypatch.setattr(bss, "dpotrf", counting)
+    with pytest.raises(NumericalError) as exc:
+        bss_select(V, r)
+
+    ratio = math.sqrt(ell / r)
+    delta_upper = (1 + ratio) / (1 - ratio)
+    sqrt_rl = math.sqrt(r * ell)
+    state = BarrierState.initial(ell)
+    for i, t in zip(healthy.indices[:k], diag.step_sizes[:k]):
+        state = state.updated(V[i], t)
+    L, U = k - sqrt_rl, delta_upper * (k + sqrt_rl)
+    scores = np.array([candidate_scores(V[i], state, L, U, 1.0, delta_upper)
+                       for i in range(d)])
+    gap = scores[:, 0] - scores[:, 1]
+    untaken = np.setdiff1d(np.arange(d), healthy.indices[:k])
+    if k:
+        assert gap[untaken].max() < 0.6 * gap.max()
+
+    message = str(exc.value)
+    assert message.startswith(f"no acceptable column at iteration {k} ")
+    reported = float(re.search(r"max lscore-uscore = (\S+),", message).group(1))
+    assert reported == pytest.approx(gap.max(), rel=1e-3)
+
+
 def test_rejects_bad_inputs():
     V = random_orthonormal(30, 3, seed=10)
     with pytest.raises(ValueError):

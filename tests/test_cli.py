@@ -221,6 +221,35 @@ def test_verify_spectral(capsys):
     assert doc["max_spectral_error"] <= doc["error_bound"]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["--l", "8", "--d", "5", "--r", "16"],  # qr would hand BSS a 5 x 5 V
+    ["--l", "0"],
+    ["--l", "-2"],
+    ["--trials", "0"],
+    ["--trials", "-1"],
+])
+def test_verify_spectral_rejects_bad_l_and_trials(capsys, monkeypatch, argv):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(cli, "bss_select", no_trial)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--bound", "spectral", *argv])
+    assert exc.value.code == 2
+    assert f"error: {argv[0]} must be" in capsys.readouterr().err
+
+
+def test_verify_spectral_accepts_l_equal_to_d(capsys):
+    code, out = run_json(capsys, [
+        "verify", "--bound", "spectral", "--l", "3", "--d", "3", "--r", "12",
+        "--trials", "1",
+    ])
+    assert code == 0
+    doc = json.loads(out.out)
+    assert (doc["l"], doc["d"], doc["trials"], doc["all_passed"]) == (3, 3, 1, True)
+
+
 def test_verify_margin(capsys, lowrank_path):
     code, out = run_json(capsys, [
         "verify", "--bound", "margin", "--data", lowrank_path,
