@@ -34,7 +34,7 @@ from .leverage import leverage_select
 from .linalg import spectral_error, thin_svd, to_dense
 from .operators import SamplingOperator
 from .sketch import approx_bss_select
-from .svm import SvmModel, error_rate, solve_dual
+from .svm import SvmModel, _check_dual, _smo, error_rate, solve_dual
 
 WEIGHTED_METHODS = ("bss", "leverage", "approx-bss")
 BASELINE_METHODS = ("uniform", "rrqr", "rfe")
@@ -78,7 +78,7 @@ def rrqr_select(X, r):
                else None
                for rv in targets]
     if any(res is None for res in results):
-        _, _, piv = scipy.linalg.qr(M, mode="economic", pivoting=True)
+        _, piv = scipy.linalg.qr(M, mode="r", pivoting=True)  # no Q is formed
         results = [piv[:rv].astype(np.intp) if res is None else res
                    for rv, res in zip(targets, results)]
     return _per_target(r, results)
@@ -96,9 +96,17 @@ def rfe_select(data: LabeledDataset, r, C: float = 1.0,
     r may be an int or a sequence of ints.  All targets follow one
     elimination path; a target leaves it at the round whose chunk would
     reach it, dropping only down to r there, so a sequence costs the
-    solves of its smallest target.  A sequence returns a list holding, per
+    rounds of its smallest target.  A sequence returns a list holding, per
     target, the surviving indices or the error that target alone raised:
     r < 1, r >= d, or a failed solve before the target was reached.
+
+    A path of n points forms one n x n Gram matrix K.  Each round starts
+    its pair steps from the previous round's alpha, which stays feasible
+    because the points, labels and C do not change, and takes at most
+    10 n^2 of them, as solve_dual does.  After a cut K loses the dropped
+    columns' outer products; it is formed again from the surviving columns
+    whenever they have halved since K was last formed, which bounds its
+    drift.
     """
     if not (0.0 <= chunk_fraction < 1.0):
         raise ValueError("chunk_fraction must be in [0, 1)")
@@ -108,26 +116,36 @@ def rfe_select(data: LabeledDataset, r, C: float = 1.0,
                else None
                for rv in targets]
     pending = [i for i, res in enumerate(results) if res is None]
-    X = to_dense(data.X)
+    if not pending:
+        return _per_target(r, results)
     active = np.arange(data.d)
-    while pending:
-        try:
-            model = solve_dual(LabeledDataset(X[:, active], data.y), C, kkt_tol)
-        except Exception as e:
+    try:
+        _check_dual(data, C, kkt_tol)
+        X, y = to_dense(data.X), data.y
+        K, built, alpha = X @ X.T, active.size, None
+        while True:
+            alpha = _smo(K, y, C, kkt_tol, 10 * data.n**2, alpha)[0]
+            w = X[:, active].T @ (y * alpha)
+            k = max(1, math.ceil(chunk_fraction * active.size))
+            order = np.argsort(np.abs(w), kind="stable")
             for i in pending:
-                results[i] = NumericalError(
-                    f"solver failed with {active.size} features remaining "
-                    f"(target {targets[i]}): {e}")
-                results[i].__cause__ = e
-            break
-        k = max(1, math.ceil(chunk_fraction * active.size))
-        order = np.argsort(np.abs(model.w), kind="stable")
+                excess = active.size - targets[i]
+                if excess <= k:
+                    results[i] = np.delete(active, order[:excess])
+            pending = [i for i in pending if results[i] is None]
+            if not pending:
+                break
+            dropped, active = active[order[:k]], np.delete(active, order[:k])
+            if 2 * active.size <= built:
+                K, built = X[:, active] @ X[:, active].T, active.size
+            else:
+                K -= X[:, dropped] @ X[:, dropped].T
+    except Exception as e:
         for i in pending:
-            excess = active.size - targets[i]
-            if excess <= k:
-                results[i] = np.delete(active, order[:excess])
-        pending = [i for i in pending if results[i] is None]
-        active = np.delete(active, order[:k])
+            results[i] = NumericalError(
+                f"solver failed with {active.size} features remaining "
+                f"(target {targets[i]}): {e}")
+            results[i].__cause__ = e
     return _per_target(r, results)
 
 

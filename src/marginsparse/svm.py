@@ -48,9 +48,8 @@ def error_rate(model: SvmModel, data: LabeledDataset) -> float:
     return float(np.mean(predict(model, data.X) != data.y))
 
 
-def solve_dual(data: LabeledDataset, C: float = 1.0, kkt_tol: float = 1e-4,
-               max_passes: int | None = None) -> SvmModel:
-    """Solve the dual on (X, y); max_passes counts epochs of n pair updates."""
+def _check_dual(data: LabeledDataset, C: float, kkt_tol: float) -> None:
+    """Raise DataError unless the dual on (data, C) with kkt_tol is solvable."""
     if C <= 0:
         raise DataError("C must be positive")
     if kkt_tol < 0:
@@ -59,26 +58,30 @@ def solve_dual(data: LabeledDataset, C: float = 1.0, kkt_tol: float = 1e-4,
         raise DataError("need at least two points")
     if not data.has_both_classes:
         raise DataError("both classes must be present")
-    n = data.n
-    if max_passes is None:
-        max_passes = 10 * n
 
-    X = to_dense(data.X)
-    y = data.y
-    K = X @ X.T
+
+def _smo(K, y, C, kkt_tol, max_steps, alpha0=None):
+    """Pair steps on the dual with kernel K, from alpha0 (0 when None).
+
+    alpha0 must be feasible: y'alpha0 = 0 and 0 <= alpha0 <= C.  Returns
+    (alpha, converged, gap, steps) after at most max_steps pair updates.
+    """
     Kdiag = np.diag(K).copy()
-
-    alpha = [0.0] * n
-    neg_yg = np.array(y, dtype=np.float64)  # y_i - w.x_i at w = 0
+    if alpha0 is None:
+        alpha0 = np.zeros(y.size)
+    alpha = alpha0.tolist()
+    neg_yg = y - K @ (y * alpha0)  # y_i - w.x_i
     pos = y > 0
-    up = pos.copy()  # alpha_i can rise along y_i: positives below C, negatives above 0
-    low = ~pos  # alpha_i can fall along y_i
+    # up: alpha_i can rise along y_i (positives below C, negatives above 0);
+    # low: alpha_i can fall along y_i.
+    up = np.where(pos, alpha0 < C, alpha0 > 0)
+    low = np.where(pos, alpha0 > 0, alpha0 < C)
     y_list, pos_list, Kdiag_list = y.tolist(), pos.tolist(), Kdiag.tolist()
 
     converged = False
     gap = np.inf
     steps = 0
-    for _ in range(max_passes * n):
+    for _ in range(max_steps):
         # argmax/argmin return the first extreme index, as over an ascending
         # index gather.  neg_yg is finite, so a side is empty exactly when its
         # pick falls outside its mask.
@@ -120,7 +123,20 @@ def solve_dual(data: LabeledDataset, C: float = 1.0, kkt_tol: float = 1e-4,
             up[t] = below_c if pos_list[t] else above_0
             low[t] = above_0 if pos_list[t] else below_c
         steps += 1
-    alpha = np.array(alpha, dtype=np.float64)
+    return np.array(alpha, dtype=np.float64), converged, gap, steps
+
+
+def solve_dual(data: LabeledDataset, C: float = 1.0, kkt_tol: float = 1e-4,
+               max_passes: int | None = None) -> SvmModel:
+    """Solve the dual on (X, y); max_passes counts epochs of n pair updates."""
+    _check_dual(data, C, kkt_tol)
+    n = data.n
+    if max_passes is None:
+        max_passes = 10 * n
+
+    X = to_dense(data.X)
+    y = data.y
+    alpha, converged, gap, steps = _smo(X @ X.T, y, C, kkt_tol, max_passes * n)
 
     w = X.T @ (y * alpha)
     neg_yg = y - X @ w  # recomputed exactly: y_i - w.x_i
@@ -129,6 +145,7 @@ def solve_dual(data: LabeledDataset, C: float = 1.0, kkt_tol: float = 1e-4,
     if free.any():
         b = float(np.mean(neg_yg[free]))
     else:
+        pos = y > 0
         up = np.where(pos, alpha < C, alpha > 0)
         low = np.where(pos, alpha > 0, alpha < C)
         hi = np.max(neg_yg[up]) if up.any() else 0.0

@@ -3,8 +3,8 @@
 Nothing here imports from marginsparse: these are deliberately separate
 code paths (dense eigendecompositions, projected gradient, exhaustive
 enumeration, one-row-at-a-time barrier scores, the eigh-per-step BSS loop,
-the gather-based SMO loop, LAPACK's dense SVD, the mat-vec ball loop) so
-agreement is meaningful.
+the gather-based SMO loop, cold-started RFE rounds, LAPACK's dense SVD,
+the mat-vec ball loop) so agreement is meaningful.
 """
 
 import itertools
@@ -169,6 +169,25 @@ def smo_reference(X, y, C, kkt_tol=1e-4, max_passes=None):
     objective = float(alpha.sum() - 0.5 * norm_w**2)
     return SmoResult(alpha=alpha, w=w, b=b, objective=objective,
                      converged=converged, kkt_gap=float(gap), steps=steps)
+
+
+def rfe_reference(X, y, r, C=1.0, chunk_fraction=0.1, kkt_tol=1e-4):
+    """Recursive feature elimination with a cold solve per round: the
+    reference for the warm-started path in rfe_select.
+
+    Each round forms the surviving columns' Gram matrix anew, solves from
+    alpha = 0 with smo_reference, and drops the
+    max(1, ceil(chunk_fraction * remaining)) smallest |w_j|, only down to r
+    in the last round.  Returns the survivors in ascending order.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    active = np.arange(X.shape[1])
+    while active.size > r:
+        w = smo_reference(X[:, active], y, C, kkt_tol).w
+        k = max(1, math.ceil(chunk_fraction * active.size))
+        order = np.argsort(np.abs(w), kind="stable")
+        active = np.delete(active, order[:min(k, active.size - r)])
+    return active
 
 
 def exhaustive_meb(P):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from marginsparse.data import LabeledDataset, apply_fold, gen_synthetic, make_folds
 from marginsparse.errors import DataError, NumericalError
@@ -21,6 +22,8 @@ from marginsparse.pipelines import (
     verify_margin_bound,
 )
 from marginsparse.svm import error_rate, solve_dual
+
+from oracles import rfe_reference
 
 
 def rank_limited(n, d, rank, seed, push=2.0):
@@ -87,6 +90,37 @@ def test_rrqr_r_too_large():
         rrqr_select(np.eye(3), 4)
 
 
+@pytest.fixture(scope="module")
+def cv_grid_support_sets():
+    """The support-vector sets of the cv-grid benchmark workload's ten
+    folds at seed 902: gen_synthetic(200, 1000, 40, seed=0), one repeat."""
+    data = gen_synthetic(200, 1000, 40, seed=0)
+    plan = make_folds(data.n, 10, 1, 902)
+    sets = []
+    for fold in range(10):
+        train, _ = apply_fold(data, plan, 0, fold)
+        sets.append(train.subset(solve_dual(train).support_indices))
+    return sets
+
+
+def test_rrqr_pivots_match_economic_qr(cv_grid_support_sets):
+    # rrqr_select asks LAPACK for R alone; the pivots must be those of the
+    # QR that also forms Q, past the numerical rank too.
+    rng = np.random.default_rng(24)
+    dup = rng.standard_normal((8, 10))
+    inputs = {
+        "wide": rng.standard_normal((6, 20)),
+        "tall": rng.standard_normal((30, 8)),
+        "rank-deficient": rng.standard_normal((10, 3)) @ rng.standard_normal((3, 12)),
+        "duplicated": np.hstack([dup, dup[:, [4, 0, 7]]]),
+        "support-vectors": cv_grid_support_sets[0].X,
+    }
+    assert inputs["support-vectors"].shape[1] == 1000
+    for name, M in inputs.items():
+        _, _, want = scipy.linalg.qr(M, mode="economic", pivoting=True)
+        np.testing.assert_array_equal(rrqr_select(M, M.shape[1]), want, err_msg=name)
+
+
 # ---------------------------------------------------------------------- rfe
 
 def test_rfe_keeps_informative_feature():
@@ -112,6 +146,87 @@ def test_rfe_validation():
         rfe_select(data, r=4)
     with pytest.raises(ValueError):
         rfe_select(data, r=1, chunk_fraction=1.0)
+
+
+def test_rfe_invalid_problem_fails_every_pending_target():
+    data = gen_synthetic(n=20, d=6, k=2, seed=1)
+    cases = [
+        (data, {"C": 0.0}, "C must be positive"),
+        (data, {"C": -1.0}, "C must be positive"),
+        (data, {"kkt_tol": -1e-3}, "kkt_tol must be non-negative"),
+        (LabeledDataset(data.X[:1], data.y[:1]), {}, "need at least two points"),
+        (LabeledDataset(data.X, np.ones(data.n)), {}, "both classes must be present"),
+    ]
+    for source, kwargs, cause in cases:
+        got = rfe_select(source, [3, 0, 5], **kwargs)
+        assert isinstance(got[1], ValueError) and str(got[1]) == "need r >= 1, got r=0"
+        for rv, err in ((3, got[0]), (5, got[2])):
+            assert isinstance(err, NumericalError)
+            assert str(err) == f"solver failed with 6 features remaining (target {rv}): {cause}"
+            assert isinstance(err.__cause__, DataError) and str(err.__cause__) == cause
+        with pytest.raises(NumericalError) as alone:
+            rfe_select(source, 5, **kwargs)
+        assert str(alone.value) == str(got[2])
+        assert isinstance(alone.value.__cause__, DataError)
+
+
+def rfe_datasets():
+    """The datasets, targets and chunk fractions of this file's other rfe tests."""
+    rng = np.random.default_rng(6)
+    y = np.array([1.0] * 10 + [-1.0] * 10)
+    X = np.column_stack([y * rng.normal(3.0, 0.3, 20), 1e-3 * rng.standard_normal(20)])
+    yield LabeledDataset(X, y), 1, 0.1
+    yield gen_synthetic(n=30, d=8, k=3, seed=7), 7, 0.0
+    for chunk in (0.1, 0.3, 0.0):
+        for rv in (25, 3, 31):
+            yield gen_synthetic(n=30, d=40, k=5, seed=21), rv, chunk
+    for rv in (15, 5):
+        yield gen_synthetic(n=30, d=20, k=4, seed=22), rv, 0.2
+    yield gen_synthetic(n=20, d=6, k=2, seed=1), 3, 0.1
+    for rv in (7, 2):
+        yield rank_limited(20, 10, rank=4, seed=20), rv, 0.0
+
+
+def test_rfe_matches_cold_reference():
+    for data, rv, chunk in rfe_datasets():
+        np.testing.assert_array_equal(
+            rfe_select(data, rv, chunk_fraction=chunk),
+            rfe_reference(data.X, data.y, rv, chunk_fraction=chunk))
+
+
+def test_rfe_matches_cold_reference_on_cv_grid_support_sets(cv_grid_support_sets):
+    for sv_data in cv_grid_support_sets:
+        np.testing.assert_array_equal(
+            rfe_select(sv_data, 30), rfe_reference(sv_data.X, sv_data.y, 30))
+
+
+def test_rfe_path_gram_stays_exact(monkeypatch):
+    import marginsparse.pipelines as pipelines
+
+    data = gen_synthetic(n=30, d=40, k=5, seed=21)
+    real, seen = pipelines._smo, []
+
+    def capture(K, *args):
+        out = real(K, *args)
+        seen.append((K.copy(), out[0]))
+        return out
+
+    monkeypatch.setattr(pipelines, "_smo", capture)
+    survivors = rfe_select(data, 3)
+    # Replay the path from the captured alphas: every K handed to the
+    # solver is the Gram matrix of that round's surviving columns.
+    X, y = data.X, data.y
+    active, built, rebuilds = np.arange(data.d), data.d, 0
+    for K, alpha in seen:
+        if 2 * active.size <= built:
+            built, rebuilds = active.size, rebuilds + 1
+        want = X[:, active] @ X[:, active].T
+        assert np.abs(K - want).max() <= 1e-12 * np.abs(want).max()
+        w = X[:, active].T @ (y * alpha)
+        k = min(max(1, math.ceil(0.1 * active.size)), active.size - 3)
+        active = np.delete(active, np.argsort(np.abs(w), kind="stable")[:k])
+    np.testing.assert_array_equal(active, survivors)
+    assert rebuilds >= 2
 
 
 # ---------------------------------------------------------------- pipelines
@@ -418,14 +533,19 @@ def test_rfe_grid_solver_failure_keeps_reached_targets(monkeypatch):
     import marginsparse.pipelines as pipelines
 
     data = gen_synthetic(n=30, d=20, k=4, seed=22)
-    real = pipelines.solve_dual
+    real, rounds = pipelines._smo, 0
 
-    def failing(sub, *args, **kwargs):
-        if sub.d < 12:
+    def failing(K, y, C, kkt_tol, max_steps, alpha0=None):
+        # A path's first round starts cold.  At chunk 0.2 the path keeps
+        # 20, 16, 12 and then 9 features, so its fourth round is the first
+        # with fewer than 12.
+        nonlocal rounds
+        rounds = 1 if alpha0 is None else rounds + 1
+        if rounds >= 4:
             raise NumericalError("boom")
-        return real(sub, *args, **kwargs)
+        return real(K, y, C, kkt_tol, max_steps, alpha0)
 
-    monkeypatch.setattr(pipelines, "solve_dual", failing)
+    monkeypatch.setattr(pipelines, "_smo", failing)
     reached, lost = rfe_select(data, [15, 5], chunk_fraction=0.2)
     np.testing.assert_array_equal(reached, rfe_select(data, 15, chunk_fraction=0.2))
     assert isinstance(lost, NumericalError)
@@ -433,6 +553,7 @@ def test_rfe_grid_solver_failure_keeps_reached_targets(monkeypatch):
         rfe_select(data, 5, chunk_fraction=0.2)
     assert str(lost) == str(alone.value)
     assert "(target 5)" in str(lost) and "boom" in str(lost)
+    assert "with 9 features remaining" in str(lost)
 
 
 def test_nonpositive_r_rejected():

@@ -6,9 +6,9 @@ import scipy.sparse
 
 from marginsparse.data import LabeledDataset, gen_synthetic
 from marginsparse.errors import DataError
-from marginsparse.svm import error_rate, predict, solve_dual
+from marginsparse.svm import _smo, error_rate, predict, solve_dual
 
-from oracles import qp_dual_solve, smo_reference
+from oracles import project_dual_feasible, qp_dual_solve, smo_reference
 from test_acceptance import _rank10_data
 
 
@@ -170,6 +170,36 @@ def test_nonconvergence_is_flagged():
     # best-iterate model still respects the constraints
     assert np.all((m.alpha >= 0) & (m.alpha <= 100.0))
     assert abs(m.alpha @ data.y) <= 1e-6
+
+
+# ------------------------------------------------------------ warm starts
+
+def test_warm_start_from_converged_alpha_takes_no_steps():
+    data = random_dataset(40, 6, seed=8, scale=0.3)
+    K, y, cap = data.X @ data.X.T, data.y, 10 * data.n**2
+    alpha, converged, _, steps = _smo(K, y, 1.0, 1e-4, cap)
+    assert converged and steps > 0
+    warm, converged, gap, steps = _smo(K, y, 1.0, 1e-4, cap, alpha)
+    assert converged and gap <= 1e-4 and steps == 0
+    assert np.array_equal(warm, alpha)
+
+
+@pytest.mark.parametrize("C", [0.05, 1.0, 20.0])
+def test_warm_start_from_feasible_alpha_converges(C):
+    data = random_dataset(40, 6, seed=9, scale=0.3)
+    K, y, n = data.X @ data.X.T, data.y, data.n
+    a0 = project_dual_feasible(np.random.default_rng(10).uniform(0.0, C, n), y, C)
+    assert abs(y @ a0) <= 1e-12 * C * n and np.all((a0 >= 0) & (a0 <= C))
+    alpha, converged, gap, steps = _smo(K, y, C, 1e-4, 10 * n * n, a0)
+    assert converged and gap <= 1e-4 and steps > 0
+    assert abs(y @ alpha) <= 1e-12 * C * n
+    assert np.all((alpha >= 0) & (alpha <= C))
+    # the gap holds for the gradient recomputed from alpha, not just the
+    # one the steps carried
+    neg_yg = y - K @ (y * alpha)
+    up = np.where(y > 0, alpha < C, alpha > 0)
+    low = np.where(y > 0, alpha > 0, alpha < C)
+    assert neg_yg[up].max() - neg_yg[low].min() <= 1e-4 + 1e-9
 
 
 # ------------------------------------------- bitwise against the gather loop
