@@ -20,18 +20,18 @@ def main():
     X = rng.normal(size=(n, 3)) @ B
 
     V = thin_svd(X).V
-    dist = leverage_scores(V)
-    top = np.argsort(dist.probabilities)[::-1][:6]
+    p = leverage_scores(V)
+    top = np.argsort(p)[::-1][:6]
     print("heaviest leverage probabilities:")
     for j in top:
-        print(f"  feature {j:>2}: p = {dist.probabilities[j]:.3f}")
+        print(f"  feature {j:>2}: p = {p[j]:.3f}")
 
     r = 2000
     op = leverage_select(V, r, seed=11)
     freq = np.bincount(op.indices, minlength=d) / r
     print(f"\nempirical frequency over {r} draws (top features):")
     for j in top:
-        print(f"  feature {j:>2}: {freq[j]:.3f}  (expected {dist.probabilities[j]:.3f})")
+        print(f"  feature {j:>2}: {freq[j]:.3f}  (expected {p[j]:.3f})")
 
     print()
     for r in (32, 128, 512):

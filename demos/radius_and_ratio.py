@@ -9,10 +9,8 @@ sampled radius obeys B~^2 <= (1 + e) B^2, and the combined ratio
 
 import numpy as np
 
-from marginsparse.bss import bss_select
 from marginsparse.data import LabeledDataset
-from marginsparse.geometry import augmented_right_basis, radius_bound_check
-from marginsparse.pipelines import unsupervised_select, verify_margin_bound
+from marginsparse.pipelines import select_geometry, unsupervised_select, verify_margin_bound
 
 
 def make_data(seed, n=40, d=200, rank=10):
@@ -28,25 +26,25 @@ def main():
     data = make_data(seed=0)
     print(f"rank-10 data: n={data.n}, d={data.d}")
 
-    # radius: select on the center-augmented right basis
-    basis = augmented_right_basis(data.X)
-    op = bss_select(basis.V, 40)
-    chk = radius_bound_check(basis, op)
+    # radius: select from the data's right basis, which also spans the
+    # ball's center; no SVM is needed for this bound
+    geo = select_geometry(data, "bss", r=40)
+    radius = verify_margin_bound(geo).radius
     print(f"\nradius with r=40 deterministic selection:")
-    print(f"  B full    = {chk.radius_full:.4f}")
-    print(f"  B sampled = {chk.radius_sampled:.4f}")
-    print(f"  measured error {chk.spectral_error:.3f}, "
-          f"bound on B~^2 = {chk.bound:.4f}, passed = {chk.passed}")
+    print(f"  B full    = {geo.ball_full.radius:.4f}")
+    print(f"  B sampled = {geo.ball_sampled.radius:.4f}")
+    print(f"  measured error {geo.spectral_error:.3f}, "
+          f"bound on B~^2 = {radius.rhs:.4f} -> {radius.status}")
 
-    # ratio: full pipeline report carries margins and radii together
+    # ratio: the full report carries margins and balls together
     rep = unsupervised_select(data, "bss", r=160)
     bound = verify_margin_bound(rep)
-    ratio_full = (rep.radius_full / rep.margin_full) ** 2
-    ratio_sampled = (rep.radius_sampled / rep.margin_sampled) ** 2
+    ratio_full = (rep.ball_full.radius / rep.margin_full) ** 2
+    ratio_sampled = (rep.ball_sampled.radius / rep.margin_sampled) ** 2
     print(f"\nratio with r=160 (error {rep.spectral_error:.3f}):")
     print(f"  (B/margin)^2 full    = {ratio_full:.2f}")
     print(f"  (B/margin)^2 sampled = {ratio_sampled:.2f}")
-    print(f"  allowed by bound     = {bound.ratio_rhs:.2f}  -> {bound.ratio_status}")
+    print(f"  allowed by bound     = {bound.ratio.rhs:.2f}  -> {bound.ratio_status}")
 
 
 if __name__ == "__main__":

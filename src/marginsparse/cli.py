@@ -13,19 +13,17 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
 from .errors import DataError, NumericalError
 from .bss import bss_select
 from .data import gen_synthetic, load_dataset, write_svmlight
-from .geometry import augmented_right_basis, radius_bound_check
-from .leverage import leverage_select
 from .linalg import spectral_error
-from .operators import SamplingOperator
 from .pipelines import (METHODS, cv_experiment, feature_frequencies,
-                        summarize_cv, supervised_select, unsupervised_select,
-                        verify_margin_bound)
+                        select_geometry, summarize_cv, supervised_select,
+                        unsupervised_select, verify_margin_bound)
 
 SCHEMA = "margin-sparse/1"
 DEFAULT_R_GRID = (300, 400, 500)
@@ -83,8 +81,8 @@ def cmd_select(args):
         "margin_sampled": rep.margin_sampled,
         "margin_sampled_full_data": rep.margin_sampled_full_data,
         "spectral_error": rep.spectral_error,
-        "radius_full": rep.radius_full,
-        "radius_sampled": rep.radius_sampled,
+        "radius_full": rep.ball_full.radius,
+        "radius_sampled": rep.ball_sampled.radius,
         "n_support": rep.n_support,
         "bound_checks": {
             "margin": bounds.margin_status,
@@ -191,39 +189,35 @@ def _verify_margin(args):
         "mode": args.mode,
         "r": args.features,
         "seed": args.seed,
-        "spectral_error": b.spectral_error,
-        "margin_full": b.margin_full,
-        "margin_sampled": b.margin_sampled,
-        "radius_full": b.radius_full,
-        "radius_sampled": b.radius_sampled,
-        "margin_check": {"status": b.margin_status, "lhs": b.margin_lhs,
-                         "rhs": b.margin_rhs},
-        "ratio_check": {"status": b.ratio_status, "lhs": b.ratio_lhs,
-                        "rhs": b.ratio_rhs, "epsilon": b.epsilon_hat},
+        "spectral_error": rep.spectral_error,
+        "margin_full": rep.margin_full,
+        "margin_sampled": rep.margin_sampled,
+        "radius_full": rep.ball_full.radius,
+        "radius_sampled": rep.ball_sampled.radius,
+        "margin_check": asdict(b.margin),
+        "radius_check": asdict(b.radius),
+        "ratio_check": {**asdict(b.ratio), "epsilon": b.epsilon_hat},
     }
 
 
 def _verify_radius(args):
-    data = load_dataset(args.data)
-    basis = augmented_right_basis(data.X, args.delta)
-    if args.method == "bss":
-        op = bss_select(basis.V, args.features)
-    elif args.method == "leverage":
-        op = leverage_select(basis.V, args.features, args.seed)
-    else:
-        raise ValueError("radius verification supports methods bss and leverage")
-    chk = radius_bound_check(basis, op)
+    # The radius bound is about the data's ball, so the selection is always
+    # unsupervised, from the full data, whatever --mode says; no SVM is solved.
+    rep = select_geometry(load_dataset(args.data), args.method, args.features,
+                          args.seed, t=args.t, meb_delta=args.delta)
+    chk = verify_margin_bound(rep).radius
     return {
         "schema": SCHEMA,
         "bound": "radius",
         "method": args.method,
         "r": args.features,
         "seed": args.seed,
-        "radius_full": chk.radius_full,
-        "radius_sampled": chk.radius_sampled,
-        "spectral_error": chk.spectral_error,
-        "bound_value": chk.bound,
-        "status": "pass" if chk.passed else "fail",
+        "radius_full": rep.ball_full.radius,
+        "radius_sampled": rep.ball_sampled.radius,
+        "spectral_error": rep.spectral_error,
+        "bound_value": chk.rhs,
+        "status": chk.status,
+        "reason": chk.reason,
     }
 
 

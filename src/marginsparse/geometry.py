@@ -1,4 +1,4 @@
-"""Minimum enclosing ball and the radius-preservation check.
+"""Minimum enclosing ball.
 
 The ball is computed by the core-set iteration: repeatedly move the center
 toward the farthest point with harmonic step 1/(k+1).  The center is a
@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .linalg import check_matrix, spectral_error, thin_svd, to_dense
-from .operators import SamplingOperator
+from .linalg import check_matrix, to_dense
 
 
 @dataclass(frozen=True)
@@ -85,58 +84,3 @@ def meb_radius(X, delta: float = 1e-3) -> EnclosingBall:
     radius = float(math.sqrt(max(d2.max(), 0.0)))
     return EnclosingBall(center=c + shift, radius=radius, delta=delta,
                          iterations=k, certified=certified)
-
-
-@dataclass(frozen=True)
-class RadiusCheck:
-    radius_full: float
-    radius_sampled: float
-    spectral_error: float
-    passed: bool
-    bound: float
-
-
-@dataclass(frozen=True)
-class AugmentedBasis:
-    """Data with its enclosing ball and the ball-augmented right basis."""
-
-    points: np.ndarray  # dense X
-    ball: EnclosingBall
-    V: np.ndarray
-
-
-def augmented_right_basis(X, delta: float = 1e-3) -> AugmentedBasis:
-    """Right singular basis of X with the MEB center appended as a row.
-
-    This is the matrix the radius-preservation argument samples from: the
-    guarantee needs the selection to be accurate on the span of the data
-    AND the ball center.  The center is a convex combination u X of the
-    rows, so it adds nothing to their span, and the basis is that of X
-    alone.  The record keeps the dense data and the ball so that
-    radius_bound_check reuses them.
-    """
-    P = to_dense(X)
-    return AugmentedBasis(P, meb_radius(P, delta), thin_svd(P).V)
-
-
-def radius_bound_check(basis: AugmentedBasis, R: SamplingOperator) -> RadiusCheck:
-    """Check the sampled-space ball radius against the spectral error bound.
-
-    Takes B from basis.ball, computes B~ on X R, measures E_B on the
-    center-augmented right basis V_B, and tests
-    B~^2 <= (1 + ||E_B||) (1+delta)^2 B^2, with delta that of the ball.
-    The (1+delta)^2 factor covers the approximation slack of the two ball
-    computations; R must come from basis.V for the measured ||E_B|| to be
-    the relevant error.
-    """
-    P, ball_full, V_B = basis.points, basis.ball, basis.V
-    if P.shape[1] != R.n_features:
-        raise DataError(f"operator built for {R.n_features} features, data has {P.shape[1]}")
-    delta = ball_full.delta
-    ball_sampled = meb_radius(R.apply(P), delta)
-    err = spectral_error(V_B, R.indices, R.weights)
-    bound = (1.0 + err) * (1.0 + delta) ** 2 * ball_full.radius**2
-    passed = ball_sampled.radius**2 <= bound * (1.0 + 1e-9)
-    return RadiusCheck(radius_full=ball_full.radius,
-                       radius_sampled=ball_sampled.radius,
-                       spectral_error=err, passed=passed, bound=bound)

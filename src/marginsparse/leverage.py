@@ -9,30 +9,15 @@ weight 1/sqrt(r * p_i), which makes V^T R R^T V unbiased for the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import check_matrix, require_orthonormal, row_norms_sq
 from .operators import SamplingOperator
 
 
-@dataclass(frozen=True)
-class LeverageDistribution:
-    probabilities: np.ndarray
-    ell: int
-
-    def __post_init__(self):
-        p = np.asarray(self.probabilities, dtype=np.float64)
-        if p.ndim != 1 or np.any(p < 0):
-            raise ValueError("probabilities must be a nonnegative 1-d array")
-        if abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {p.sum():.12g}, not 1")
-        object.__setattr__(self, "probabilities", p)
-
-
-def leverage_scores(V) -> LeverageDistribution:
-    """p_i = ||row i of V||^2 / ell for an orthonormal-column V."""
+def leverage_scores(V) -> np.ndarray:
+    """The probability vector p_i = ||row i of V||^2 / ell of an
+    orthonormal-column V (d x ell)."""
     V = np.asarray(V, dtype=np.float64)
     check_matrix(V, name="V")
     require_orthonormal(V, name="V")
@@ -42,15 +27,14 @@ def leverage_scores(V) -> LeverageDistribution:
     p = row_norms_sq(V) / ell
     # Row norms of orthonormal columns sum to ell exactly in real arithmetic;
     # absorb the last few ulps so downstream samplers see a clean simplex point.
-    return LeverageDistribution(p / p.sum(), ell)
+    return p / p.sum()
 
 
 def leverage_select(V, r: int, seed: int) -> SamplingOperator:
     """r i.i.d. draws from the leverage distribution, weight 1/sqrt(r p_i)."""
     if r < 1:
         raise ValueError("need r >= 1")
-    dist = leverage_scores(V)
-    p = dist.probabilities
+    p = leverage_scores(V)
     rng = np.random.default_rng(seed)
     indices = rng.choice(p.size, size=r, replace=True, p=p)
     weights = 1.0 / np.sqrt(r * p[indices])

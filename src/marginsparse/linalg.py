@@ -69,9 +69,6 @@ class ThinSvd:
     def rank(self) -> int:
         return self.singular_values.size
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.singular_values) @ self.V.T
-
 
 def thin_svd(M, rank_threshold: float = DEFAULT_RANK_THRESHOLD) -> ThinSvd:
     """Thin SVD with relative rank truncation.

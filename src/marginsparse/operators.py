@@ -43,11 +43,6 @@ class SamplingOperator:
     def r(self) -> int:
         return self.indices.size
 
-    @classmethod
-    def identity(cls, d: int) -> "SamplingOperator":
-        """The trivial operator keeping every feature with unit weight."""
-        return cls(d, np.arange(d), np.ones(d))
-
     def apply(self, X):
         """Return X R, i.e. the sampled-and-rescaled data matrix (n x r)."""
         n, d = X.shape

@@ -8,12 +8,14 @@ Two protocols:
   support-vector set.
 * unsupervised — select columns from the right singular basis of the whole
   training matrix (labels never touched), then solve on the sampled data.
+  select_geometry stops before the solves.
 
 Methods: bss (deterministic), leverage (seeded), approx-bss (sketched),
 plus unweighted baselines uniform / rrqr / rfe.  Baselines feed raw
 columns to the solver; only bss/leverage/approx-bss carry weights and a
-measured spectral error, and only for those does verify_margin_bound have
-something to check.
+measured spectral error.  verify_margin_bound decides the margin, radius
+and ratio bounds of any report in one place, and marks a bound na, with
+its reason, when the report cannot support it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -29,7 +31,7 @@ import scipy.linalg
 from .errors import DataError, NumericalError
 from .bss import bss_select
 from .data import LabeledDataset, make_folds, apply_fold
-from .geometry import meb_radius
+from .geometry import EnclosingBall, meb_radius
 from .leverage import leverage_select
 from .linalg import spectral_error, thin_svd, to_dense
 from .operators import SamplingOperator
@@ -40,7 +42,7 @@ WEIGHTED_METHODS = ("bss", "leverage", "approx-bss")
 BASELINE_METHODS = ("uniform", "rrqr", "rfe")
 METHODS = WEIGHTED_METHODS + BASELINE_METHODS
 
-# Relative slack verify_margin_bound allows both inequalities for rounding.
+# Relative slack verify_margin_bound allows every inequality for rounding.
 BOUND_SLACK = 1e-6
 
 
@@ -151,21 +153,28 @@ def rfe_select(data: LabeledDataset, r, C: float = 1.0,
 
 @dataclass(frozen=True)
 class SelectionReport:
+    """One selection and what its bounds are decided from.
+
+    select_geometry fills the selection, the spectral error (weighted
+    methods only) and the enclosing balls of the source and sampled data;
+    supervised_select and unsupervised_select add the SVM solves.  A report
+    without solves has nan margins and C, n_support 0 and no model.
+    """
+
     method: str
     mode: str
     r: int
     operator: SamplingOperator
-    margin_full: float
-    margin_sampled: float
-    margin_sampled_full_data: float
-    radius_full: float
-    radius_sampled: float
     spectral_error: float | None
+    ball_full: EnclosingBall
+    ball_sampled: EnclosingBall
     seed: int | None
-    C: float
-    meb_delta: float
-    n_support: int
-    model_sampled: SvmModel
+    margin_full: float = math.nan
+    margin_sampled: float = math.nan
+    margin_sampled_full_data: float = math.nan
+    C: float = math.nan
+    n_support: int = 0
+    model_sampled: SvmModel | None = None
 
     @property
     def selected_indices(self) -> np.ndarray:
@@ -253,34 +262,60 @@ def _recalibrate(op, source, C, kkt_tol):
     return sampled, solve_dual(sampled, C, kkt_tol)
 
 
-def _selection_report(method, mode, r, seed, source, margin_full, n_support,
-                      full_data, *, C, t, chunk_fraction, kkt_tol, meb_delta) -> SelectionReport:
-    """Select from source, recalibrate, and add the report-only pieces.
+def _selection_geometry(method, mode, r, seed, source, *, C, t, chunk_fraction,
+                        kkt_tol, meb_delta):
+    """Select from source and measure the selection, solving no SVM.
 
-    Those pieces are the margin of the sampled full_data (when given), the
-    spectral error of weighted methods on source's basis, and the radii.
+    Returns the report without solves and the sampled source matrix.  The
+    spectral error is measured for weighted methods only, on source's
+    basis; that basis also spans the centre of source's ball, a convex
+    combination of its rows, which the radius bound needs.
     """
     basis = functools.cache(lambda: thin_svd(source.X).V)
     [op] = _select_operators(method, source, basis, [r], seed, C=C, t=t,
                              chunk_fraction=chunk_fraction, kkt_tol=kkt_tol)
     if isinstance(op, Exception):
         raise op
-    sampled, model_sampled = _recalibrate(op, source, C, kkt_tol)
+    sampled_X = op.apply(source.X)
+    err = spectral_error(basis(), op.indices, op.weights) if method in WEIGHTED_METHODS else None
+    report = SelectionReport(
+        method=method, mode=mode, r=op.r, operator=op, spectral_error=err,
+        ball_full=meb_radius(source.X, meb_delta),
+        ball_sampled=meb_radius(sampled_X, meb_delta), seed=seed)
+    return report, sampled_X
+
+
+def _selection_report(method, mode, r, seed, source, margin_full, n_support,
+                      full_data, *, C, t, chunk_fraction, kkt_tol, meb_delta) -> SelectionReport:
+    """_selection_geometry on source, then the solves: the SVM on the
+    sampled source and, when full_data is given, on the sampled full_data."""
+    report, sampled_X = _selection_geometry(
+        method, mode, r, seed, source, C=C, t=t, chunk_fraction=chunk_fraction,
+        kkt_tol=kkt_tol, meb_delta=meb_delta)
+    model_sampled = solve_dual(LabeledDataset(sampled_X, source.y), C, kkt_tol)
     if full_data is None:
         margin_sampled_full = model_sampled.margin
     else:
-        full_sampled = LabeledDataset(op.apply(full_data.X), full_data.y)
+        full_sampled = LabeledDataset(report.operator.apply(full_data.X), full_data.y)
         margin_sampled_full = solve_dual(full_sampled, C, kkt_tol).margin
-    err = spectral_error(basis(), op.indices, op.weights) if method in WEIGHTED_METHODS else None
-    radius_full = meb_radius(source.X, meb_delta).radius
-    radius_sampled = meb_radius(sampled.X, meb_delta).radius
-    return SelectionReport(
-        method=method, mode=mode, r=op.r, operator=op, margin_full=margin_full,
-        margin_sampled=model_sampled.margin,
-        margin_sampled_full_data=margin_sampled_full, radius_full=radius_full,
-        radius_sampled=radius_sampled, spectral_error=err, seed=seed,
-        C=float(C), meb_delta=meb_delta, n_support=n_support,
-        model_sampled=model_sampled)
+    return replace(
+        report, margin_full=margin_full, margin_sampled=model_sampled.margin,
+        margin_sampled_full_data=margin_sampled_full, C=float(C),
+        n_support=n_support, model_sampled=model_sampled)
+
+
+def select_geometry(data: LabeledDataset, method: str, r: int,
+                    seed: int | None = None, *, t: int | None = None,
+                    meb_delta: float = 1e-3) -> SelectionReport:
+    """Unsupervised selection from data and its two enclosing balls.
+
+    The selection is unsupervised_select's, but no SVM is solved, so the
+    report decides the radius bound and leaves the margin and ratio na.
+    """
+    _check_mode("unsupervised", method)
+    return _selection_geometry(method, "unsupervised", r, seed, data, C=1.0, t=t,
+                               chunk_fraction=0.1, kkt_tol=1e-4,
+                               meb_delta=meb_delta)[0]
 
 
 def supervised_select(data: LabeledDataset, method: str, r: int, C: float = 1.0,
@@ -292,7 +327,8 @@ def supervised_select(data: LabeledDataset, method: str, r: int, C: float = 1.0,
     margin_full is the margin of the SVM solved on the support vectors in
     the original feature space (identical to the full-data margin for a
     converged solve); margin_sampled comes from the recalibrated solve on
-    the sampled support-vector set.
+    the sampled support-vector set.  The balls are those of the
+    support-vector set and its sampled copy.
     """
     sv_data = _support_vector_set(data, solve_dual(data, C, kkt_tol))
     sv_model = solve_dual(sv_data, C, kkt_tol)
@@ -315,65 +351,96 @@ def unsupervised_select(data: LabeledDataset, method: str, r: int, C: float = 1.
 
 
 @dataclass(frozen=True)
-class BoundReport:
-    """Outcome of checking the margin and radius/margin-ratio inequalities.
+class BoundCheck:
+    """One inequality, decided: 'pass', 'fail', or 'na' with its reason.
 
-    Each status is 'pass', 'fail', or 'na' (not applicable: missing or
-    vacuous, e.g. spectral error >= 1 or an unweighted baseline).
+    lhs and rhs are the inequality's two sides, nan when it is na.
+    """
+
+    status: str
+    lhs: float = math.nan
+    rhs: float = math.nan
+    reason: str = ""
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    """The margin, radius and ratio bounds of one SelectionReport.
+
+    epsilon_hat is the ratio bound's combined error; see verify_margin_bound.
     """
 
     spectral_error: float | None
-    margin_full: float
-    margin_sampled: float
-    radius_full: float
-    radius_sampled: float
-    margin_status: str
-    margin_lhs: float
-    margin_rhs: float
-    ratio_status: str
-    ratio_lhs: float
-    ratio_rhs: float
     epsilon_hat: float
+    margin: BoundCheck
+    radius: BoundCheck
+    ratio: BoundCheck
+
+    @property
+    def margin_status(self) -> str:
+        return self.margin.status
+
+    @property
+    def ratio_status(self) -> str:
+        return self.ratio.status
+
+
+def _decide(holds, lhs, rhs) -> BoundCheck:
+    return BoundCheck("pass" if holds else "fail", lhs, rhs)
 
 
 def verify_margin_bound(report: SelectionReport) -> BoundReport:
-    """Test the measured-error margin inequality and the B^2/margin^2 ratio.
+    """Decide the report's three bounds, each to a relative BOUND_SLACK.
 
-    Margin:  margin_sampled^2 >= (1 - e/(1-e)) * margin_full^2   with
-    e = measured spectral error; vacuous (na) when e >= 1.
+    With e the measured spectral error and delta the balls' parameter:
 
-    Ratio:  (B~/margin_sampled)^2 <= ((1+eh)/(1-eh)) * (B/margin_full)^2
-    where eh combines the margin factor e/(1-e) with the radius factor
-    (1+delta)^2 (1+e) - 1; the (1+delta)^2 covers the approximate ball.
+    Margin:  margin_sampled^2 >= (1 - e/(1-e)) * margin_full^2,
+             na when e >= 1.
+    Radius:  B~^2 <= (1+e) (1+delta)^2 B^2, where the (1+delta)^2 covers
+             the approximate sampled ball.
+    Ratio:   (B~/margin_sampled)^2 <= ((1+eh)/(1-eh)) * (B/margin_full)^2
+             with eh = max(e/(1-e), (1+delta)^2 (1+e) - 1), na when eh >= 1.
+
+    Every check is na for an unweighted method, which measures no e.  The
+    margin and ratio are na without finite margins (no SVM solved), the
+    radius and ratio when a ball is not certified.
     """
     e = report.spectral_error
-    nan = float("nan")
     if e is None:
-        return BoundReport(e, report.margin_full, report.margin_sampled,
-                           report.radius_full, report.radius_sampled,
-                           "na", nan, nan, "na", nan, nan, nan)
+        na = BoundCheck("na", reason="unweighted method: no spectral error measured")
+        return BoundReport(e, math.nan, na, na, na)
     gf, gs = report.margin_full, report.margin_sampled
-    margins_ok = np.isfinite(gf) and np.isfinite(gs)
-    if e >= 1.0 or not margins_ok:
-        margin_status, lhs, rhs = "na", nan, nan
+    bf, bs = report.ball_full, report.ball_sampled
+    margins_ok = bool(np.isfinite(gf) and np.isfinite(gs))
+    if not margins_ok:
+        margin = BoundCheck("na", reason="margins not measured or not finite")
+    elif e >= 1.0:
+        margin = BoundCheck("na", reason=f"spectral error {e:.3g} >= 1")
     else:
-        lhs = gs**2
-        rhs = (1.0 - e / (1.0 - e)) * gf**2
-        margin_status = "pass" if lhs >= rhs - BOUND_SLACK * abs(rhs) else "fail"
+        lhs, rhs = gs**2, (1.0 - e / (1.0 - e)) * gf**2
+        margin = _decide(lhs >= rhs - BOUND_SLACK * abs(rhs), lhs, rhs)
 
-    eps_margin = e / (1.0 - e) if e < 1.0 else float("inf")
-    eps_radius = (1.0 + report.meb_delta) ** 2 * (1.0 + e) - 1.0
-    eps_hat = max(eps_margin, eps_radius)
-    radii_ok = np.isfinite(report.radius_full) and np.isfinite(report.radius_sampled)
-    if eps_hat >= 1.0 or not radii_ok or not margins_ok or gf <= 0 or gs <= 0:
-        ratio_status, rlhs, rrhs = "na", nan, nan
+    uncertified = " and ".join(name for name, ball in (("full", bf), ("sampled", bs))
+                               if not ball.certified)
+    factor = (1.0 + bs.delta) ** 2 * (1.0 + e)
+    if uncertified:
+        radius = BoundCheck("na", reason=f"{uncertified} ball not certified")
     else:
-        rlhs = report.radius_sampled**2 / gs**2
-        rrhs = (1.0 + eps_hat) / (1.0 - eps_hat) * report.radius_full**2 / gf**2
-        ratio_status = "pass" if rlhs <= rrhs * (1.0 + BOUND_SLACK) else "fail"
-    return BoundReport(e, gf, gs, report.radius_full, report.radius_sampled,
-                       margin_status, lhs, rhs, ratio_status, rlhs, rrhs,
-                       eps_hat)
+        lhs, rhs = bs.radius**2, factor * bf.radius**2
+        radius = _decide(lhs <= rhs * (1.0 + BOUND_SLACK), lhs, rhs)
+
+    eps_hat = max(e / (1.0 - e) if e < 1.0 else math.inf, factor - 1.0)
+    if uncertified:
+        ratio = radius
+    elif not (margins_ok and gf > 0 and gs > 0):
+        ratio = BoundCheck("na", reason="margins not measured, finite and positive")
+    elif eps_hat >= 1.0:
+        ratio = BoundCheck("na", reason=f"combined error {eps_hat:.3g} >= 1")
+    else:
+        lhs = bs.radius**2 / gs**2
+        rhs = (1.0 + eps_hat) / (1.0 - eps_hat) * bf.radius**2 / gf**2
+        ratio = _decide(lhs <= rhs * (1.0 + BOUND_SLACK), lhs, rhs)
+    return BoundReport(e, eps_hat, margin, radius, ratio)
 
 
 # ---------------------------------------------------------------------------

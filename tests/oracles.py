@@ -1,10 +1,11 @@
 """Independent reference implementations used to pin expected test values.
 
-Nothing here imports from marginsparse: these are deliberately separate
-code paths (dense eigendecompositions, projected gradient, exhaustive
-enumeration, one-row-at-a-time barrier scores, the eigh-per-step BSS loop,
-the gather-based SMO loop, cold-started RFE rounds, LAPACK's dense SVD,
-the mat-vec ball loop) so agreement is meaningful.
+The reference implementations import nothing from marginsparse: they are
+deliberately separate code paths (dense eigendecompositions, projected
+gradient, exhaustive enumeration, one-row-at-a-time barrier scores, the
+eigh-per-step BSS loop, the gather-based SMO loop, cold-started RFE rounds,
+LAPACK's dense SVD, the mat-vec ball loop) so agreement is meaningful.
+The two fixtures at the end only read or build package records.
 """
 
 import itertools
@@ -520,3 +521,16 @@ def meb_reference(X, delta=1e-3):
     radius = float(math.sqrt(max(d2.max(), 0.0)))
     return BallResult(center=c + shift, radius=radius, iterations=k,
                       certified=certified)
+
+
+# -------------------------------------------------------------- fixtures
+
+def reconstruct(svd):
+    """U diag(s) V^T of a ThinSvd."""
+    return (svd.U * svd.singular_values) @ svd.V.T
+
+
+def identity_operator(d):
+    """The SamplingOperator that keeps every feature with unit weight."""
+    from marginsparse.operators import SamplingOperator
+    return SamplingOperator(d, np.arange(d), np.ones(d))

@@ -17,12 +17,13 @@ import pytest
 
 from marginsparse.bss import bss_select
 from marginsparse.data import LabeledDataset, apply_fold, gen_synthetic, make_folds
-from marginsparse.geometry import augmented_right_basis, meb_radius, radius_bound_check
+from marginsparse.geometry import meb_radius
 from marginsparse.leverage import leverage_select
 from marginsparse.linalg import spectral_error, thin_svd
 from marginsparse.pipelines import (
     cv_experiment,
     feature_frequencies,
+    select_geometry,
     summarize_cv,
     supervised_select,
     unsupervised_select,
@@ -132,7 +133,7 @@ def _margin_chain(method, draws):
         chk = verify_margin_bound(rep)
         if chk.margin_status == "pass":
             passes += 1
-            if chk.margin_rhs > 0:
+            if chk.margin.rhs > 0:
                 nonvacuous += 1
         errs.append(chk.spectral_error)
     return passes, nonvacuous, float(np.max(errs))
@@ -174,16 +175,12 @@ def test_criterion_04_radius_bound():
     passes = 0
     worst = 0.0
     for seed in range(20):
-        data = _rank10_data(seed)
-        basis = augmented_right_basis(data.X)
-        op = bss_select(basis.V, 40)
-        chk = radius_bound_check(basis, op)
-        literal = chk.radius_sampled**2 <= (
-            (1.0 + chk.spectral_error) * chk.radius_full**2 * (1.0 + 1e-9))
-        if chk.passed and literal:
+        rep = select_geometry(_rank10_data(seed), "bss", 40)
+        e, b_full, b_sampled = rep.spectral_error, rep.ball_full.radius, rep.ball_sampled.radius
+        literal = b_sampled**2 <= (1.0 + e) * b_full**2 * (1.0 + 1e-9)
+        if verify_margin_bound(rep).radius.status == "pass" and literal:
             passes += 1
-        worst = max(worst, chk.radius_sampled**2
-                    / ((1.0 + chk.spectral_error) * chk.radius_full**2))
+        worst = max(worst, b_sampled**2 / ((1.0 + e) * b_full**2))
     passed = passes == 20
     record_criterion(
         4, passed,

@@ -259,6 +259,25 @@ def test_verify_margin(capsys, lowrank_path):
     doc = json.loads(out.out)
     assert doc["margin_check"]["status"] == "pass"
     assert doc["spectral_error"] < 1.0
+    for name in ("margin_check", "radius_check", "ratio_check"):
+        assert set(doc[name]) >= {"status", "lhs", "rhs", "reason"}
+    assert doc["radius_check"]["status"] == "pass"
+    assert doc["radius_check"]["lhs"] == pytest.approx(doc["radius_sampled"] ** 2, rel=1e-12)
+    assert doc["radius_check"]["rhs"] >= doc["radius_check"]["lhs"]
+
+
+def test_verify_margin_reasons_for_unweighted_method(capsys, lowrank_path):
+    code, out = run_json(capsys, [
+        "verify", "--bound", "margin", "--data", lowrank_path,
+        "--method", "uniform", "--mode", "unsupervised", "--features", "8",
+    ])
+    assert code == 0
+    doc = json.loads(out.out)
+    assert doc["spectral_error"] is None
+    assert doc["radius_full"] > 0 and doc["radius_sampled"] > 0
+    for name in ("margin_check", "radius_check", "ratio_check"):
+        assert doc[name]["status"] == "na"
+        assert "unweighted" in doc[name]["reason"]
 
 
 def test_verify_radius(capsys, lowrank_path):
@@ -269,7 +288,45 @@ def test_verify_radius(capsys, lowrank_path):
     assert code == 0
     doc = json.loads(out.out)
     assert doc["status"] == "pass"
+    assert doc["reason"] == ""
     assert doc["radius_sampled"] > 0
+    assert doc["radius_sampled"] ** 2 <= doc["bound_value"]
+
+
+@pytest.mark.parametrize("method", ["bss", "leverage"])
+def test_verify_radius_selects_from_full_data_in_any_mode(capsys, lowrank_path, method):
+    argv = ["verify", "--bound", "radius", "--data", lowrank_path,
+            "--method", method, "--features", "20", "--seed", "4"]
+    docs = []
+    for mode in ([], ["--mode", "supervised"], ["--mode", "unsupervised"]):
+        code, out = run_json(capsys, argv + mode)
+        assert code == 0
+        docs.append(json.loads(out.out))
+    assert docs[0] == docs[1] == docs[2]
+
+
+@pytest.mark.parametrize("method", ["uniform", "rrqr"])
+def test_verify_radius_unweighted_method_is_na(capsys, lowrank_path, method):
+    code, out = run_json(capsys, [
+        "verify", "--bound", "radius", "--data", lowrank_path,
+        "--method", method, "--features", "8",
+    ])
+    assert code == 0
+    doc = json.loads(out.out)
+    assert doc["status"] == "na"
+    assert "unweighted" in doc["reason"]
+    assert doc["spectral_error"] is None and doc["bound_value"] is None
+    assert doc["radius_full"] > 0 and doc["radius_sampled"] > 0
+
+
+def test_verify_radius_rfe_is_usage_error(capsys, lowrank_path):
+    code, out = run_json(capsys, [
+        "verify", "--bound", "radius", "--data", lowrank_path,
+        "--method", "rfe", "--features", "5",
+    ])
+    assert code == 2
+    assert out.out == ""
+    assert json.loads(out.err)["error"]["type"] == "usage"
 
 
 # ------------------------------------------------------------- feature-freq

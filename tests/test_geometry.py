@@ -4,18 +4,14 @@ import time
 import numpy as np
 import pytest
 
-from marginsparse.bss import bss_select
-from marginsparse.data import gen_synthetic
+from marginsparse.data import LabeledDataset, gen_synthetic
 from marginsparse.errors import DataError
-from marginsparse.geometry import (
-    augmented_right_basis,
-    meb_radius,
-    radius_bound_check,
-)
-from marginsparse.leverage import leverage_select
-from marginsparse.operators import SamplingOperator
+from marginsparse.geometry import meb_radius
+from marginsparse.linalg import spectral_error, thin_svd
+from marginsparse.pipelines import SelectionReport, select_geometry, verify_margin_bound
 
-from oracles import eig_spectral_norm, exhaustive_meb, meb_reference, svd_reference
+from oracles import (eig_spectral_norm, exhaustive_meb, identity_operator,
+                     meb_reference, svd_reference)
 
 
 def test_two_point_ball():
@@ -107,61 +103,64 @@ def test_delta_validation():
         meb_radius(np.zeros((2, 2)), delta=1.5)
 
 
-# -------------------------------------------------------- radius_bound_check
+# ------------------------------------------------------------ radius bound
+
+def _unlabeled(X):
+    """X with alternating labels, which unsupervised selection never reads."""
+    return LabeledDataset(X, np.where(np.arange(X.shape[0]) % 2 == 0, 1.0, -1.0))
+
 
 @pytest.mark.parametrize("shape", ["low rank 40x200", "wide sparse 60x800"])
 def test_augmented_basis_spans_the_center(shape):
     # The center is a convex combination of the rows, so the basis of X
-    # alone already spans [X; center]; the data sit off the origin so the
-    # center is far from 0.
+    # alone, the one select_geometry selects on, already spans
+    # [X; center]; the data sit off the origin so the center is far from 0.
     rng = np.random.default_rng(34)
     if shape == "low rank 40x200":
         X = rng.standard_normal((40, 10)) @ rng.standard_normal((10, 200)) + 3.0
     else:
         X = rng.random((60, 800)) * (rng.random((60, 800)) < 0.02) + 1.0
-    basis = augmented_right_basis(X)
-    _, _, V_aug = svd_reference(np.vstack([X, basis.ball.center]))
-    assert basis.V.shape == V_aug.shape
-    assert eig_spectral_norm(basis.V @ basis.V.T - V_aug @ V_aug.T) <= 1e-10
+    V = thin_svd(X).V
+    _, _, V_aug = svd_reference(np.vstack([X, meb_radius(X).center]))
+    assert V.shape == V_aug.shape
+    assert eig_spectral_norm(V @ V.T - V_aug @ V_aug.T) <= 1e-10
 
 
 def test_identity_sampling_passes_exactly():
     rng = np.random.default_rng(32)
     X = rng.standard_normal((10, 6))
-    chk = radius_bound_check(augmented_right_basis(X), SamplingOperator.identity(6))
-    assert chk.passed
-    assert chk.spectral_error <= 1e-9
-    assert chk.radius_sampled == pytest.approx(chk.radius_full, rel=1e-9)
+    op = identity_operator(6)
+    rep = SelectionReport(
+        method="bss", mode="unsupervised", r=6, operator=op,
+        spectral_error=spectral_error(thin_svd(X).V, op.indices, op.weights),
+        ball_full=meb_radius(X), ball_sampled=meb_radius(op.apply(X)), seed=None)
+    chk = verify_margin_bound(rep)
+    assert chk.radius.status == "pass"
+    assert rep.spectral_error <= 1e-9
+    assert rep.ball_sampled.radius == pytest.approx(rep.ball_full.radius, rel=1e-9)
+    # no SVM was solved, so the margin and the ratio have nothing to decide
+    assert chk.margin.status == chk.ratio.status == "na"
 
 
 def test_low_rank_synthetic_with_deterministic_selection():
     # n=40 points in a 10-dimensional subspace of R^200; selecting on the
-    # center-augmented basis keeps the sampled ball within the bound.
+    # basis of X, which spans the center too, keeps the sampled ball
+    # within the bound.
     rng = np.random.default_rng(33)
     X = rng.standard_normal((40, 10)) @ rng.standard_normal((10, 200))
-    basis = augmented_right_basis(X)
-    assert basis.V.shape[1] <= 11
-    op = bss_select(basis.V, r=40)
-    chk = radius_bound_check(basis, op)
-    assert chk.passed
-    assert chk.radius_sampled**2 <= (1 + chk.spectral_error) * (1 + 1e-3) ** 2 \
-        * chk.radius_full**2 * (1 + 1e-9)
+    assert thin_svd(X).V.shape[1] <= 11
+    rep = select_geometry(_unlabeled(X), "bss", r=40)
+    assert verify_margin_bound(rep).radius.status == "pass"
+    assert rep.ball_sampled.radius**2 <= (1 + rep.spectral_error) * (1 + 1e-3) ** 2 \
+        * rep.ball_full.radius**2 * (1 + 1e-9)
 
 
 def test_two_point_leverage_sampling():
-    X = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    basis = augmented_right_basis(X)
+    data = _unlabeled(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
     held = 0
     for seed in range(20):
-        op = leverage_select(basis.V, r=64, seed=seed)
-        chk = radius_bound_check(basis, op)
-        if chk.spectral_error < 1.0:
+        rep = select_geometry(data, "leverage", r=64, seed=seed)
+        if rep.spectral_error < 1.0:
             held += 1
-            assert chk.passed, seed
+            assert verify_margin_bound(rep).radius.status == "pass", seed
     assert held > 0  # the r=64 draws concentrate; most trials must qualify
-
-
-def test_dimension_mismatch_rejected():
-    with pytest.raises(DataError):
-        radius_bound_check(augmented_right_basis(np.zeros((3, 4))),
-                           SamplingOperator.identity(5))

@@ -16,9 +16,7 @@ def random_orthonormal(d, ell, seed):
 
 def test_scores_identity_embedding():
     V = np.eye(4)[:, :2]
-    dist = leverage_scores(V)
-    np.testing.assert_allclose(dist.probabilities, [0.5, 0.5, 0.0, 0.0])
-    assert dist.ell == 2
+    np.testing.assert_allclose(leverage_scores(V), [0.5, 0.5, 0.0, 0.0])
 
 
 def test_scores_rotation_invariant():
@@ -27,8 +25,8 @@ def test_scores_rotation_invariant():
     rng = np.random.default_rng(1)
     Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     np.testing.assert_allclose(
-        leverage_scores(V).probabilities,
-        leverage_scores(V @ Q).probabilities,
+        leverage_scores(V),
+        leverage_scores(V @ Q),
         atol=1e-12,
     )
 
@@ -37,8 +35,7 @@ def test_scores_from_thin_svd():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((6, 50))
     V = thin_svd(X).V
-    dist = leverage_scores(V)
-    p = dist.probabilities
+    p = leverage_scores(V)
     assert p.shape == (50,)
     assert np.all(p >= 0)
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
@@ -105,7 +102,7 @@ def test_select_reproducible():
 
 def test_select_weights_depend_only_on_probability():
     V = random_orthonormal(30, 2, seed=8)
-    p = leverage_scores(V).probabilities
+    p = leverage_scores(V)
     op = leverage_select(V, 25, seed=9)
     np.testing.assert_allclose(op.weights, 1.0 / np.sqrt(25 * p[op.indices]), rtol=1e-14)
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import marginsparse.pipelines as pipelines
 from marginsparse.data import LabeledDataset, apply_fold, gen_synthetic, make_folds
 from marginsparse.errors import DataError, NumericalError
-from marginsparse.operators import SamplingOperator
+from marginsparse.geometry import EnclosingBall
 from marginsparse.pipelines import (
     BoundReport,
     CvCell,
@@ -15,6 +16,7 @@ from marginsparse.pipelines import (
     feature_frequencies,
     rfe_select,
     rrqr_select,
+    select_geometry,
     summarize_cv,
     supervised_select,
     uniform_select,
@@ -23,7 +25,7 @@ from marginsparse.pipelines import (
 )
 from marginsparse.svm import error_rate, solve_dual
 
-from oracles import rfe_reference
+from oracles import identity_operator, rfe_reference
 
 
 def rank_limited(n, d, rank, seed, push=2.0):
@@ -250,7 +252,7 @@ def test_supervised_report_is_reproducible():
     b = supervised_select(data, "uniform", r=10, seed=3)
     np.testing.assert_array_equal(a.selected_indices, b.selected_indices)
     assert a.margin_sampled == b.margin_sampled
-    assert a.radius_sampled == b.radius_sampled
+    assert a.ball_sampled.radius == b.ball_sampled.radius
 
 
 def test_unsupervised_label_oblivious():
@@ -306,22 +308,26 @@ def test_unknown_method_and_missing_arguments():
 
 # ------------------------------------------------------------ verify bounds
 
+def fake_ball(radius, certified=True):
+    return EnclosingBall(center=np.zeros(2), radius=radius, delta=1e-3,
+                         iterations=1, certified=certified)
+
+
 def fake_report(e, margin_full=1.0, margin_sampled=1.0, radius_full=2.0,
-                radius_sampled=2.0):
+                radius_sampled=2.0, certified=(True, True)):
     return SelectionReport(
-        method="bss", mode="unsupervised", r=2,
-        operator=SamplingOperator.identity(2),
+        method="bss", mode="unsupervised", r=2, operator=identity_operator(2),
+        spectral_error=e, ball_full=fake_ball(radius_full, certified[0]),
+        ball_sampled=fake_ball(radius_sampled, certified[1]), seed=None,
         margin_full=margin_full, margin_sampled=margin_sampled,
-        margin_sampled_full_data=margin_sampled,
-        radius_full=radius_full, radius_sampled=radius_sampled,
-        spectral_error=e, seed=None, C=1.0, meb_delta=1e-3, n_support=2,
-        model_sampled=None)
+        margin_sampled_full_data=margin_sampled, C=1.0, n_support=2)
 
 
 def test_verify_zero_error_reduces_to_margin_comparison():
     chk = verify_margin_bound(fake_report(0.0))
     assert chk.margin_status == "pass"
     assert chk.ratio_status == "pass"
+    assert chk.radius.status == "pass"
     chk = verify_margin_bound(fake_report(0.0, margin_sampled=0.999))
     assert chk.margin_status == "fail"
 
@@ -330,21 +336,80 @@ def test_verify_margin_fail_detected():
     # e = 0.2 -> factor 0.75; sampled margin 0.8 gives lhs 0.64 < 0.75
     chk = verify_margin_bound(fake_report(0.2, margin_sampled=0.8))
     assert chk.margin_status == "fail"
-    assert chk.margin_lhs == pytest.approx(0.64)
-    assert chk.margin_rhs == pytest.approx(0.75)
+    assert chk.margin.lhs == pytest.approx(0.64)
+    assert chk.margin.rhs == pytest.approx(0.75)
+    assert chk.margin.reason == ""
+
+
+def test_verify_radius_inequality():
+    # e = 0.2: B~^2 <= 1.2 (1+1e-3)^2 B^2 = 4.8096... for B = 2
+    rhs = 1.2 * (1 + 1e-3) ** 2 * 4.0
+    chk = verify_margin_bound(fake_report(0.2, radius_sampled=math.sqrt(rhs)))
+    assert chk.radius.status == "pass"
+    assert chk.radius.lhs == pytest.approx(rhs, rel=1e-12)
+    assert chk.radius.rhs == pytest.approx(rhs, rel=1e-12)
+    chk = verify_margin_bound(fake_report(0.2, radius_sampled=math.sqrt(rhs * (1 + 1e-5))))
+    assert chk.radius.status == "fail"
+    # the radius bound holds at any e, so e >= 1 leaves it decided
+    assert verify_margin_bound(fake_report(1.2)).radius.status == "pass"
 
 
 def test_verify_vacuous_cases():
     chk = verify_margin_bound(fake_report(1.2))
     assert chk.margin_status == "na" and chk.ratio_status == "na"
+    assert ">= 1" in chk.margin.reason and ">= 1" in chk.ratio.reason
     chk = verify_margin_bound(fake_report(None))
     assert chk.margin_status == "na" and chk.ratio_status == "na"
+    assert chk.radius.status == "na"
+    assert all("unweighted" in c.reason for c in (chk.margin, chk.radius, chk.ratio))
     chk = verify_margin_bound(fake_report(0.1, margin_sampled=float("inf")))
     assert chk.margin_status == "na"
     # eps_hat >= 1 kills only the ratio check
     chk = verify_margin_bound(fake_report(0.55))
     assert chk.margin_status in ("pass", "fail")
     assert chk.ratio_status == "na"
+
+
+@pytest.mark.parametrize("certified", [(False, True), (True, False), (False, False)])
+def test_verify_uncertified_ball_is_na(certified):
+    chk = verify_margin_bound(fake_report(0.0, certified=certified))
+    assert chk.margin_status == "pass"
+    for c in (chk.radius, chk.ratio):
+        assert c.status == "na"
+        assert "not certified" in c.reason
+        assert math.isnan(c.lhs) and math.isnan(c.rhs)
+
+
+def test_uncertified_ball_from_a_run_is_na(monkeypatch):
+    def uncertified(X, delta=1e-3):
+        ball = meb_radius(X, delta)
+        return EnclosingBall(ball.center, ball.radius, delta, ball.iterations, False)
+
+    meb_radius = pipelines.meb_radius
+    monkeypatch.setattr(pipelines, "meb_radius", uncertified)
+    data = rank_limited(30, 100, rank=5, seed=15)
+    for rep in (unsupervised_select(data, "bss", r=80), select_geometry(data, "bss", r=80)):
+        chk = verify_margin_bound(rep)
+        assert chk.radius.status == chk.ratio.status == "na"
+        assert chk.radius.reason == chk.ratio.reason == "full and sampled ball not certified"
+    assert verify_margin_bound(unsupervised_select(data, "bss", r=80)).margin_status == "pass"
+
+
+def test_select_geometry_is_unsupervised_select_without_solves(monkeypatch):
+    data = rank_limited(30, 100, rank=5, seed=15)
+    for method, seed in (("bss", None), ("leverage", 3), ("uniform", 3), ("rrqr", None)):
+        full = unsupervised_select(data, method, r=80, seed=seed)
+        with monkeypatch.context() as m:
+            m.setattr(pipelines, "solve_dual", None)  # any solve would fail
+            geo = select_geometry(data, method, r=80, seed=seed)
+        np.testing.assert_array_equal(geo.selected_indices, full.selected_indices)
+        np.testing.assert_array_equal(geo.weights, full.weights)
+        assert geo.spectral_error == full.spectral_error
+        assert geo.ball_full.radius == full.ball_full.radius
+        assert geo.ball_sampled.radius == full.ball_sampled.radius
+        assert geo.model_sampled is None and math.isnan(geo.margin_full)
+    with pytest.raises(ValueError, match="supervised"):
+        select_geometry(data, "rfe", r=5)
 
 
 def test_verify_on_real_low_rank_run():
