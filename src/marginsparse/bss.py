@@ -14,18 +14,29 @@ of R^T V lies in [1 - sqrt(ell/r), 1 + sqrt(ell/r)], hence
     ||V^T V - V^T R R^T V||_2 <= 3 sqrt(ell / r).
 
 Each step picks the acceptable untaken row of largest norm.  Only the
-untaken rows are scored, lazily: in their stable descending-norm order,
-SCORE_BLOCK rows at a time, stopping at the first block that holds an
-acceptable one; the pick then leaves that order.  The scores need the two
-shifted resolvents (A - (L+1)I)^-1 and ((U+delta_upper)I - A)^-1, not the
-spectrum of A.  A step costs two Cholesky factors and their two
-triangular inverses, one more factor-only Cholesky that tests
-lambda_max < U, and one ell x 2ell GEMM per block of rows scored, against
-both inverses side by side in one buffer.  The unshifted potentials
-tr (A - L I)^-1 and tr (U I - A)^-1 are carried from one step to the next
-by Sherman-Morrison.  Only when no untaken row is acceptable are the taken
-rows scored too, in their own descending-norm order, and the first
-acceptable one is picked again; such a step scores all d rows.
+untaken rows are scored, lazily: in their stable descending-norm order, a
+block at a time, stopping at the first block that holds an acceptable one;
+the pick then leaves that order.  A step's first block holds the least
+power of two above the previous pick's offset in that order, clamped to
+[8, SCORE_BLOCK] rows, and later blocks hold SCORE_BLOCK rows.  The scores
+need the two shifted resolvents Q_lo = (A - (L+1)I)^-1 and
+Q_hi = ((U+delta_upper)I - A)^-1, not the spectrum of A.  A step factors
+both shifted matrices, C^T C, and inverts both factors in place, side by
+side in one ell x 2ell buffer F = [C_lo^-1 | C_hi^-1]; each trace tr Q is
+||C^-1||_F^2.  A block of rows V_b costs three GEMMs: Z = V_b F gives
+v'Qv as the squared row norms of each half, and Z_half C_half^-T gives
+v'Q^2 v the same way.  lambda_max(A) < U is certified by the upper factor
+alone: (U+delta_upper)I - A is positive definite, and its least
+eigenvalue is at least 1/tr Q_hi, which exceeds delta_upper when
+tr Q_hi * delta_upper < 1.  While the barrier invariant holds,
+tr Q_hi * delta_upper < tr (U I - A)^-1 * delta_upper <= sqrt(ell/r) < 1,
+and the factor of U I - A that tests lambda_max < U directly runs only on
+a step whose product reaches _CERT_MARGIN, just below 1.  The unshifted
+potentials tr (A - L I)^-1 and tr (U I - A)^-1 are carried from one step
+to the next by Sherman-Morrison.
+Only when no untaken row is acceptable are the taken rows scored too, in
+their own descending-norm order, and the first acceptable one is picked
+again; such a step scores all d rows.
 
 The procedure is fully deterministic: no randomness anywhere.
 """
@@ -36,7 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import NumericalError
@@ -47,6 +57,11 @@ from .operators import SamplingOperator
 SCORE_SLACK = 1e-12
 # Rows scored per block of the lazy scan.
 SCORE_BLOCK = 64
+# Fewest rows in a step's first block, which is sized to the last pick.
+_FIRST_BLOCK_MIN = 8
+# tr ((U+dU)I - A)^-1 * dU below this certifies lambda_max(A) < U; the
+# margin absorbs rounding in the computed trace.
+_CERT_MARGIN = 1.0 - 1e-6
 
 
 @dataclass(frozen=True)
@@ -58,7 +73,9 @@ class BssDiagnostics:
     that run raises.
     score_evaluations counts rows scored: per iteration, the whole blocks
     of the untaken rows' descending-norm order up to the one holding the
-    pick, or all d rows on an iteration that reselects a taken row.
+    pick (the first sized to the previous pick's offset, the rest
+    SCORE_BLOCK rows), or all d rows on an iteration that reselects a
+    taken row.
     """
 
     eig_count: int
@@ -67,31 +84,33 @@ class BssDiagnostics:
     reselections: int
 
 
-def _inverse(M, out):
-    """Write M^-1 into out and return tr M^-1, for symmetric positive
-    definite M; None when its Cholesky factor fails.  With M = C^T C,
-    M^-1 = C^-1 C^-T, whose trace is ||C^-1||_F^2.  M is overwritten."""
-    C, info = dpotrf(M.T, overwrite_a=1)  # M = M^T; its F-order view factors in place
+def _inverse_factor(M):
+    """Overwrite the symmetric M with its inverse upper Cholesky factor and
+    return tr M^-1; None when M is not positive definite.  With M = C^T C,
+    M^-1 = C^-1 C^-T, whose trace is ||C^-1||_F^2.  M's F-order view (its
+    transpose, since M = M^T) ends up holding C^-1."""
+    C, info = dpotrf(M.T, overwrite_a=1)  # factors in place; zeros below
     if info != 0:
         return None
-    Ci, info = dtrtri(C, overwrite_c=1)
+    C, info = dtrtri(C, overwrite_c=1)
     if info != 0:
         return None
-    # Upper triangle of Ci Ci^T, zeros below.  From ell ~ 80, OpenBLAS's
-    # threaded GEMM takes several times as long for the full product.
-    S = dsyrk(1.0, Ci)
-    np.add(S, S.T, out=out)
-    out.flat[::out.shape[0] + 1] *= 0.5  # the diagonal was doubled; halving is exact
-    return float(np.trace(S))
+    return float(np.vdot(C, C))
 
 
-def _score(Vb, Q, dphi_l, dphi_u):
-    """Lower and upper scores of the rows Vb against Q = [Q_lo | Q_hi], with
-    their acceptability and v'Q^2 v, v'Q v per half, from one GEMM."""
+def _score(Vb, F, dphi_l, dphi_u):
+    """Lower and upper scores of the rows Vb against F = [C_lo^-1 | C_hi^-1],
+    with their acceptability and v'Q^2 v, v'Q v per half, from three GEMMs.
+    Z = Vb F holds v'C^-1 per half: v'Qv = |v'C^-1|^2 and v'Q^2 v =
+    |v'C^-1 C^-T|^2, for Q = C^-1 C^-T."""
     ell = Vb.shape[1]
-    Y = (Vb @ Q).reshape(-1, 2, ell)
-    quad = np.einsum("ijk,ijk->ij", Y, Y)
-    lin = np.einsum("ijk,ik->ij", Y, Vb)
+    Z = Vb @ F
+    W = np.empty_like(Z)
+    np.matmul(Z[:, :ell], F[:, :ell].T, out=W[:, :ell])
+    np.matmul(Z[:, ell:], F[:, ell:].T, out=W[:, ell:])
+    Z, W = Z.reshape(-1, 2, ell), W.reshape(-1, 2, ell)
+    quad = np.einsum("ijk,ijk->ij", W, W)
+    lin = np.einsum("ijk,ijk->ij", Z, Z)
     lsc = quad[:, 0] / dphi_l - lin[:, 0]
     usc = quad[:, 1] / dphi_u + lin[:, 1]
     slack = SCORE_SLACK * np.maximum(np.abs(lsc), np.abs(usc))
@@ -142,12 +161,16 @@ def bss_select(V, r: int, *, return_diagnostics: bool = False):
     live = order.copy()
     n_taken = 0
     A = np.zeros((ell, ell))
-    eye = np.eye(ell)
-    Q = np.empty((ell, 2 * ell))  # [Q_lo | Q_hi], the two shifted resolvents
+    # Both halves of F are F-order views, each the transpose of one slab of
+    # B: B[0] takes A - (L+1)I and B[1] (U+dU)I - A, and both are factored
+    # and inverted in place, so F = [C_lo^-1 | C_hi^-1].
+    B = np.empty((2, ell, ell))
+    F = B.reshape(2 * ell, ell).T
     indices = np.empty(r, dtype=np.intp)
     steps = np.empty(r)
     score_evals = 0
     reselections = 0
+    offset = 0  # the last pick's offset in the untaken order
     # Potentials tr (A - L I)^-1 and tr (U I - A)^-1 at A = 0.
     phi_l = ell / sqrt_rl
     phi_u = ell / (delta_upper * sqrt_rl)
@@ -155,24 +178,38 @@ def bss_select(V, r: int, *, return_diagnostics: bool = False):
     for tau in range(r):
         L = tau - sqrt_rl
         U = delta_upper * (tau + sqrt_rl)
-        # lambda_max < U exactly when U I - A has a Cholesky factor, and
-        # lambda_min > L + 1 > L exactly when A - (L+1) I has one.
-        if dpotrf((U * eye - A).T, clean=0, overwrite_a=1)[1] != 0:
-            raise _spectrum_error(A, tau, L, U)
-        tr_lo = _inverse(A - (L + delta_lower) * eye, Q[:, :ell])
+        # lambda_min > L + 1 > L exactly when A - (L+1) I has a factor.
+        np.copyto(B[0], A)
+        B[0].flat[::ell + 1] -= L + delta_lower
+        tr_lo = _inverse_factor(B[0])
         if tr_lo is None:
             raise _spectrum_error(A, tau, L, U, lower_shift=True)
-        tr_hi = _inverse((U + delta_upper) * eye - A, Q[:, ell:])
+        np.negative(A, out=B[1])
+        B[1].flat[::ell + 1] += U + delta_upper
+        tr_hi = _inverse_factor(B[1])
         if tr_hi is None:
             raise _spectrum_error(A, tau, L, U)
+        # (U+dU)I - A is positive definite, so its least eigenvalue
+        # U + dU - lambda_max is at least 1/tr_hi, which exceeds dU when
+        # tr_hi dU < 1.  Only an inconclusive trace pays for the factor of
+        # U I - A that tests lambda_max < U directly.
+        if tr_hi * delta_upper >= _CERT_MARGIN:
+            M = -A
+            M.flat[::ell + 1] += U
+            if dpotrf(M.T, clean=0, overwrite_a=1)[1] != 0:
+                raise _spectrum_error(A, tau, L, U)
         dphi_l = tr_lo - phi_l
         dphi_u = phi_u - tr_hi
 
         scored = []
         pick = None
-        for start in range(n_taken, d, SCORE_BLOCK):
-            rows = live[start:start + SCORE_BLOCK]
-            lsc, usc, eligible, quad, lin = _score(V[rows], Q, dphi_l, dphi_u)
+        # The first block holds the least power of two above the last
+        # pick's offset (clamped); later blocks hold SCORE_BLOCK rows.
+        start = n_taken
+        size = min(max(1 << offset.bit_length(), _FIRST_BLOCK_MIN), SCORE_BLOCK)
+        while start < d:
+            rows = live[start:start + size]
+            lsc, usc, eligible, quad, lin = _score(V[rows], F, dphi_l, dphi_u)
             score_evals += rows.size
             hits = np.flatnonzero(eligible)
             if hits.size:
@@ -184,10 +221,13 @@ def bss_select(V, r: int, *, return_diagnostics: bool = False):
                 j = start + k
                 live[n_taken + 1:j + 1] = live[n_taken:j]
                 live[n_taken] = i
+                offset = int(j - n_taken)
                 n_taken += 1
                 pick = i, lsc[k], usc[k], quad[k], lin[k]
                 break
             scored.append((lsc, usc, eligible, quad, lin))
+            start += size
+            size = SCORE_BLOCK
 
         if pick is None:
             # No untaken row is acceptable: score the taken rows too, in
@@ -196,7 +236,7 @@ def bss_select(V, r: int, *, return_diagnostics: bool = False):
             is_taken[live[:n_taken]] = True
             rows = order[is_taken[order]]
             for start in range(0, n_taken, SCORE_BLOCK):
-                scored.append(_score(V[rows[start:start + SCORE_BLOCK]], Q, dphi_l, dphi_u))
+                scored.append(_score(V[rows[start:start + SCORE_BLOCK]], F, dphi_l, dphi_u))
             score_evals += n_taken
             # All d rows, the untaken ones first.
             lsc, usc, eligible, quad, lin = (np.concatenate(a) for a in zip(*scored))
@@ -211,6 +251,7 @@ def bss_select(V, r: int, *, return_diagnostics: bool = False):
             k = np.flatnonzero(eligible)[0]  # allow re-selection
             pick = rows[k - (d - n_taken)], lsc[k], usc[k], quad[k], lin[k]
             reselections += 1
+            offset = d - n_taken  # every untaken row was scored
         i, l_i, u_i, (vq2_lo, vq2_hi), (vq_lo, vq_hi) = pick
 
         t = 2.0 / (u_i + l_i)

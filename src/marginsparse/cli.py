@@ -361,6 +361,11 @@ def main(argv=None) -> int:
             parser.error(f"--l must be between 1 and --d ({args.d}), got {args.l}")
         if args.trials < 1:
             parser.error(f"--trials must be at least 1, got {args.trials}")
+    # cv and feature-freq counts; --folds above n is left to the data check.
+    for flag, least in (("folds", 2), ("repeats", 1), ("workers", 1), ("top", 0)):
+        value = getattr(args, flag, None)
+        if value is not None and value < least:
+            parser.error(f"--{flag} must be at least {least}, got {value}")
     try:
         return args.func(args)
     except DataError as e:

@@ -304,15 +304,28 @@ class BssReplay:
     reselections: int
 
 
-def bss_replay(V, r, score_slack, block):
+def first_block(offset, block, first_min):
+    """Rows in a step's first block: the least power of two above the last
+    pick's offset in the untaken order, but at least first_min and at most
+    block."""
+    size = first_min
+    while size <= offset:
+        size *= 2
+    return min(size, block)
+
+
+def bss_replay(V, r, score_slack, block, first_min):
     """Re-run greedy BSS by scoring every row, one candidate at a time.
 
     Picks the eligible untaken row of largest squared norm (lowest index
     among ties), or, when every eligible row is taken, the largest eligible
     row again.  rows_scored is what a lazy scan of the untaken rows in
-    stable descending-norm order, with blocks of `block` rows, pays: a
-    normal step ends at the block holding its pick (capped at the number
-    of untaken rows), a reselection step scores all d rows.
+    stable descending-norm order pays, with a first block of
+    first_block(offset, block, first_min) rows (offset: the last pick's
+    position among the then-untaken rows, or their count after a
+    reselection; 0 at the start) and `block` rows after it: a normal step
+    ends at the block holding its pick (capped at the number of untaken
+    rows), a reselection step scores all d rows.
     """
     V = np.asarray(V, dtype=np.float64)
     d, ell = V.shape
@@ -325,7 +338,7 @@ def bss_replay(V, r, score_slack, block):
     taken = np.zeros(d, dtype=bool)
     indices = np.empty(r, dtype=np.intp)
     steps = np.empty(r)
-    rows_scored = reselections = 0
+    rows_scored = reselections = offset = 0
     for tau in range(r):
         L = tau - sqrt_rl
         U = delta_upper * (tau + sqrt_rl)
@@ -343,10 +356,15 @@ def bss_replay(V, r, score_slack, block):
             # descending-norm order.
             ahead = (row_sq > row_sq[i]) | ((row_sq == row_sq[i]) & (np.arange(d) < i))
             pos = int(np.sum(ahead & ~taken))
-            rows_scored += min(math.ceil((pos + 1) / block) * block, int(np.sum(~taken)))
+            scanned = first_block(offset, block, first_min)
+            while scanned <= pos:
+                scanned += block
+            rows_scored += min(scanned, int(np.sum(~taken)))
+            offset = pos
         else:
             reselections += 1
             rows_scored += d
+            offset = int(np.sum(~taken))
         t = 2.0 / (usc[i] + lsc[i])
         indices[tau], steps[tau] = i, t
         taken[i] = True
@@ -364,11 +382,12 @@ class BssReference:
     reselections: int
 
 
-def bss_reference(V, r, score_slack, block):
+def bss_reference(V, r, score_slack, block, first_min):
     """The lazy BSS loop with one ell x ell eigh per step: the reference for
     the Cholesky-factored loop in bss_select.
 
-    Same block scan of the untaken rows in descending-norm order, falling
+    Same block scan of the untaken rows in descending-norm order (the first
+    block sized by first_block, as in bss_replay), falling
     back to the taken rows when none is acceptable; same scores (through
     the eigenbasis of A), eligibility test, step size and weights.  Barrier
     failures raise ArithmeticError with bss_select's message text.
@@ -389,6 +408,7 @@ def bss_reference(V, r, score_slack, block):
     eig_count = 0
     score_evals = 0
     reselections = 0
+    offset = 0
 
     for tau in range(r):
         lam, W = np.linalg.eigh(A)
@@ -421,16 +441,19 @@ def bss_reference(V, r, score_slack, block):
         untaken = np.flatnonzero(~taken)
         scored = []
         pick = None
-        for start in range(0, untaken.size, block):
-            positions = untaken[start:start + block]
+        start, size = 0, first_block(offset, block, first_min)
+        while start < untaken.size:
+            positions = untaken[start:start + size]
             lsc, usc, eligible = score(positions)
             score_evals += positions.size
             hits = np.flatnonzero(eligible)
             if hits.size:
                 k = hits[0]
                 pick = positions[k], lsc[k], usc[k]
+                offset = start + k
                 break
             scored.append((lsc, usc, eligible))
+            start, size = start + size, block
 
         if pick is None:
             # No untaken row is acceptable: score the taken ones as well.
@@ -449,6 +472,7 @@ def bss_reference(V, r, score_slack, block):
             k = np.flatnonzero(eligible)[0]  # allow re-selection
             pick = np.concatenate([untaken, taken_positions])[k], lsc[k], usc[k]
             reselections += 1
+            offset = untaken.size
         pos, l_i, u_i = pick
 
         t = 2.0 / (u_i + l_i)

@@ -19,6 +19,8 @@ from oracles import (
     sampled_gram_error,
 )
 
+FIRST_BLOCK_MIN = bss._FIRST_BLOCK_MIN
+
 
 def random_orthonormal(d, ell, seed):
     rng = np.random.default_rng(seed)
@@ -141,7 +143,7 @@ def test_guarantees_across_shapes(d, ell, r, seed):
     assert s.max() <= 1 + ratio + 1e-9
     assert sampled_gram_error(V, op.indices, op.weights) <= 3 * ratio + 1e-9
     assert diag.eig_count == 0
-    replay = bss_replay(V, r, SCORE_SLACK, SCORE_BLOCK)
+    replay = bss_replay(V, r, SCORE_SLACK, SCORE_BLOCK, FIRST_BLOCK_MIN)
     assert diag.score_evaluations == replay.rows_scored
     assert diag.reselections == replay.reselections
     assert diag.step_sizes.shape == (r,)
@@ -168,7 +170,7 @@ def test_weights_follow_step_sizes():
 
 def _assert_replay_matches(V, r):
     op, diag = bss_select(V, r, return_diagnostics=True)
-    replay = bss_replay(V, r, SCORE_SLACK, SCORE_BLOCK)
+    replay = bss_replay(V, r, SCORE_SLACK, SCORE_BLOCK, FIRST_BLOCK_MIN)
     np.testing.assert_array_equal(op.indices, replay.indices)
     np.testing.assert_allclose(diag.step_sizes, replay.step_sizes, rtol=1e-9)
     assert diag.score_evaluations == replay.rows_scored
@@ -180,10 +182,13 @@ def test_replay_through_single_candidate_api():
     # Re-run the greedy loop through BarrierState/candidate_scores and check
     # it reproduces bss_select: same picks, same step sizes, and the rows
     # the lazy scan scored.  The second V is taller than one score block;
-    # the third has so few rows that most steps reselect a taken row.
+    # the third has so few rows that most steps reselect a taken row.  In
+    # the fourth, 100 zero rows are never acceptable, so fresh picks follow
+    # reselections, whose scan sizes the next step's first block.
     _assert_replay_matches(random_orthonormal(40, 3, seed=9), 15)
     _assert_replay_matches(random_orthonormal(400, 3, seed=11), 24)
     _assert_replay_matches(random_orthonormal(10, 3, seed=13), 40)
+    _assert_replay_matches(np.vstack([random_orthonormal(10, 3, seed=9), np.zeros((100, 3))]), 40)
 
 
 def _duplicated_rows(m=60):
@@ -204,12 +209,14 @@ def test_duplicated_rows_resolve_ties_to_lower_index():
 
 
 BSS_REFERENCE_CASES = {
-    # the three select-tall shapes, sparse-text's widest basis, a cv-grid
+    # the three select-tall shapes, sparse-text's three bases, a cv-grid
     # ell, exact norm ties, and an input that forces reselections
     "4000x50 r=400": (lambda: random_orthonormal(4000, 50, seed=20), 400),
     "20000x20 r=80": (lambda: random_orthonormal(20000, 20, seed=21), 80),
     "400x80 r=320": (lambda: random_orthonormal(400, 80, seed=22), 320),
     "4000x87 r=200": (lambda: random_orthonormal(4000, 87, seed=23), 200),
+    "4000x100 r=200": (lambda: random_orthonormal(4000, 100, seed=26), 200),
+    "4000x60 r=200": (lambda: random_orthonormal(4000, 60, seed=27), 200),
     "1000x14 r=40": (lambda: random_orthonormal(1000, 14, seed=24), 40),
     "duplicated rows": (_duplicated_rows, 24),
     "identity embedding": (lambda: np.eye(6)[:, :2], 8),
@@ -221,7 +228,7 @@ def test_bss_select_matches_eigh_reference(case):
     build, r = BSS_REFERENCE_CASES[case]
     V = build()
     op, diag = bss_select(V, r, return_diagnostics=True)
-    ref = bss_reference(V, r, SCORE_SLACK, SCORE_BLOCK)
+    ref = bss_reference(V, r, SCORE_SLACK, SCORE_BLOCK, FIRST_BLOCK_MIN)
     np.testing.assert_array_equal(op.indices, ref.indices)
     np.testing.assert_allclose(op.weights, ref.weights, rtol=1e-12, atol=0)
     np.testing.assert_allclose(diag.step_sizes, ref.step_sizes, rtol=1e-12, atol=0)
@@ -238,20 +245,28 @@ def test_bss_select_matches_eigh_reference(case):
     (2, "barrier crossed"),                              # (U+dU) I - A
 ])
 def test_failed_factor_names_iteration_spectrum_and_barriers(monkeypatch, factor, message):
-    # Each step factors U I - A, A - (L+1) I and (U+dU) I - A, in that
-    # order.  Fail one of step k's factors on a healthy spectrum: the error
-    # must still name the step, its spectrum and its barriers.
+    # Each step factors A - (L+1) I and (U+dU) I - A, in that order, and
+    # then U I - A only when the trace certificate is inconclusive; a zero
+    # margin makes it so on every step.  Fail one of step k's factors on a
+    # healthy spectrum: the error must still name the step, its spectrum
+    # and its barriers.
     V, r, k = random_orthonormal(200, 5, seed=25), 40, 7
+    if factor == 0:
+        monkeypatch.setattr(bss, "_CERT_MARGIN", 0.0)
+        failing_call = 3 * k + 3
+    else:
+        failing_call = 2 * k + factor
     real, calls = bss.dpotrf, []
 
     def failing(M, *args, **kwargs):
         calls.append(None)
         C, info = real(M, *args, **kwargs)
-        return (C, 1) if len(calls) == 3 * k + factor + 1 else (C, info)
+        return (C, 1) if len(calls) == failing_call else (C, info)
 
     monkeypatch.setattr(bss, "dpotrf", failing)
     with pytest.raises(NumericalError) as exc:
         bss_select(V, r)
+    assert len(calls) == failing_call
     sqrt_rl = math.sqrt(r * 5)
     delta_upper = (1 + math.sqrt(5 / r)) / (1 - math.sqrt(5 / r))
     L, U = k - sqrt_rl, delta_upper * (k + sqrt_rl)
@@ -259,6 +274,76 @@ def test_failed_factor_names_iteration_spectrum_and_barriers(monkeypatch, factor
     assert re.fullmatch(
         rf"{message} at iteration {k}: spectrum \[{num}, {num}\] "
         rf"vs barriers \({L:.9g}, {U:.9g}\)", str(exc.value))
+
+
+def _counting(monkeypatch, name):
+    real, calls = getattr(bss, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bss, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["4000x87 r=200", "1000x14 r=40", "duplicated rows"])
+def test_healthy_step_makes_two_factors_and_two_inverses(monkeypatch, case):
+    build, r = BSS_REFERENCE_CASES[case]
+    factors, inverses = _counting(monkeypatch, "dpotrf"), _counting(monkeypatch, "dtrtri")
+    bss_select(build(), r)
+    assert (len(factors), len(inverses)) == (2 * r, 2 * r)
+
+
+@pytest.mark.parametrize("case", ["4000x87 r=200", "1000x14 r=40", "identity embedding"])
+def test_certificate_holds_on_every_step_it_accepts(monkeypatch, case):
+    # Record each step's upper trace tr ((U+dU)I - A)^-1 as bss_select
+    # computed it, and check lambda_max < U on the oracle's spectrum of the
+    # same step wherever tr * dU fell below the margin.
+    build, r = BSS_REFERENCE_CASES[case]
+    V = build()
+    ell = V.shape[1]
+    real, traces = bss._inverse_factor, []
+
+    def recording(M):
+        trace = real(M)
+        traces.append(trace)
+        return trace
+
+    monkeypatch.setattr(bss, "_inverse_factor", recording)
+    op, diag = bss_select(V, r, return_diagnostics=True)
+    upper = traces[1::2]
+    assert len(upper) == r
+
+    ratio = math.sqrt(ell / r)
+    delta_upper = (1 + ratio) / (1 - ratio)
+    sqrt_rl = math.sqrt(r * ell)
+    state = BarrierState.initial(ell)
+    accepted = 0
+    for tau, (i, t) in enumerate(zip(op.indices, diag.step_sizes)):
+        if upper[tau] * delta_upper < bss._CERT_MARGIN:
+            accepted += 1
+            assert state.eigenvalues.max() < delta_upper * (tau + sqrt_rl)
+        state = state.updated(V[i], t)
+    assert accepted == r  # a healthy run never needs the check factor
+
+
+@pytest.mark.parametrize("case", ["4000x87 r=200", "1000x14 r=40", "identity embedding"])
+def test_inconclusive_certificate_changes_no_output(monkeypatch, case):
+    # With the margin at 0 every step runs the check factor of U I - A,
+    # which must pass on a healthy run and leave the selection bit-identical.
+    build, r = BSS_REFERENCE_CASES[case]
+    V = build()
+    op, diag = bss_select(V, r, return_diagnostics=True)
+    monkeypatch.setattr(bss, "_CERT_MARGIN", 0.0)
+    factors = _counting(monkeypatch, "dpotrf")
+    checked, checked_diag = bss_select(V, r, return_diagnostics=True)
+    assert len(factors) == 3 * r
+    np.testing.assert_array_equal(checked.indices, op.indices)
+    np.testing.assert_array_equal(checked.weights, op.weights)
+    np.testing.assert_array_equal(checked_diag.step_sizes, diag.step_sizes)
+    assert checked_diag.score_evaluations == diag.score_evaluations
+    assert checked_diag.reselections == diag.reselections
 
 
 @pytest.mark.parametrize("k", [0, 22])
@@ -274,7 +359,7 @@ def test_no_acceptable_column_reports_the_best_row_of_all_d(monkeypatch, k):
 
     def counting(M, *args, **kwargs):
         calls.append(None)
-        if len(calls) == 3 * k + 1:  # the first factor of step k
+        if len(calls) == 2 * k + 1:  # the first factor of step k
             monkeypatch.setattr(bss, "SCORE_SLACK", -np.inf)
         return real(M, *args, **kwargs)
 

@@ -363,6 +363,49 @@ def test_feature_freq_with_every_cell_skipped(capsys, lowrank_path, argv):
     assert (doc["cells"], doc["top"], doc["frequencies"]) == (0, [], [])
 
 
+@pytest.mark.parametrize("command", ["cv", "feature-freq"])
+@pytest.mark.parametrize("argv", [
+    ["--folds", "1"],
+    ["--folds", "0"],
+    ["--repeats", "0"],
+    ["--workers", "0"],
+    ["--workers", "-3"],
+])
+def test_cv_counts_below_their_minimum_are_usage_errors(
+        capsys, monkeypatch, lowrank_path, command, argv):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a CV grid ran")
+
+    monkeypatch.setattr(cli, "cv_experiment", no_grid)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--data", lowrank_path, *argv])
+    assert exc.value.code == 2
+    assert f"error: {argv[0]} must be at least" in capsys.readouterr().err
+
+
+def test_feature_freq_negative_top_is_usage_error(capsys, lowrank_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["feature-freq", "--data", lowrank_path, "--top", "-1"])
+    assert exc.value.code == 2
+    assert "error: --top must be at least 0, got -1" in capsys.readouterr().err
+
+
+def test_feature_freq_top_zero_lists_nothing_on_top(capsys, lowrank_path):
+    code, out = run_json(capsys, ["feature-freq", "--data", lowrank_path,
+                                  "--folds", "3", "--repeats", "1",
+                                  "--features", "5", "--top", "0"])
+    assert code == 0, out.err
+    doc = json.loads(out.out)
+    assert doc["top"] == [] and doc["frequencies"]
+
+
+def test_more_folds_than_rows_is_still_a_data_error(capsys, lowrank_path):
+    code, out = run_json(capsys, ["cv", "--data", lowrank_path, "--folds", "25",
+                                  "--repeats", "1", "--features", "3"])
+    assert code == 3
+    assert json.loads(out.err)["error"]["type"] == "data"
+
+
 # -------------------------------------------------------------- entry point
 
 def _console_entry_point():
