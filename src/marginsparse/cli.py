@@ -4,7 +4,8 @@ Subcommands: select (one selection run), cv (repeated k-fold grid),
 synth (write a synthetic dataset), verify (bound checks), feature-freq
 (selection frequency across CV folds).  All outputs are JSON tagged with
 schema "margin-sparse/1".  Exit codes: 0 success, 2 usage error, 3 data
-error, 4 numerical failure; failures emit an error JSON on stderr.
+error (also an input too large for memory), 4 numerical failure; failures
+other than a flag rejected by the parser emit an error JSON on stderr.
 """
 
 from __future__ import annotations
@@ -366,6 +367,14 @@ def main(argv=None) -> int:
         value = getattr(args, flag, None)
         if value is not None and value < least:
             parser.error(f"--{flag} must be at least {least}, got {value}")
+    # solver and ball parameters, shared by every subcommand but synth
+    for flag, valid, span in (("C", lambda v: v > 0, "positive"),
+                              ("kkt_tol", lambda v: v >= 0, "non-negative"),
+                              ("delta", lambda v: 0 < v < 1, "in (0, 1)"),
+                              ("chunk_fraction", lambda v: 0 <= v < 1, "in [0, 1)")):
+        value = getattr(args, flag, None)
+        if value is not None and not valid(value):
+            parser.error(f"--{flag.replace('_', '-')} must be {span}, got {value}")
     try:
         return args.func(args)
     except DataError as e:
@@ -376,6 +385,8 @@ def main(argv=None) -> int:
         return _fail(4, "numerical", e)
     except ValueError as e:
         return _fail(2, "usage", e)
+    except MemoryError as e:
+        return _fail(3, "data", f"not enough memory for this input: {e}")
 
 
 if __name__ == "__main__":

@@ -2,9 +2,12 @@
 
 Matrices are plain 2-D float ``numpy.ndarray`` objects or
 ``scipy.sparse.csr_matrix`` / ``csr_array`` (rows are data points, columns
-are features). All functions here are pure.
+are features). All functions here are pure, except _one_blas_thread, which
+sets the BLAS thread count for the duration of a block.
 """
 
+import contextlib
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,3 +179,49 @@ def require_orthonormal(V: np.ndarray, tol: float = 1e-8, name: str = "V"):
             f"(defect {defect:.3e} > {tol:.1e})"
         )
     return V
+
+
+@functools.cache
+def _openblas_thread_setters() -> tuple:
+    """openblas_set_num_threads_local of each OpenBLAS copy already loaded.
+
+    numpy and scipy each load their own copy.  The copies are found in
+    /proc/self/maps, so none is loaded here; where that file, the library
+    or the symbol is missing (MKL, Accelerate, non-Linux) the result is ().
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line}
+    except OSError:
+        return ()
+    setters = []
+    for path in sorted(p for p in paths if p.startswith("/")):
+        try:
+            setter = ctypes.CDLL(path).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        setters.append(setter)
+    return tuple(setters)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every loaded OpenBLAS at one thread, then put
+    back the counts it had, also when the block raises; a no-op without
+    OpenBLAS.
+
+    The count is the process's, not the calling thread's: OpenBLAS's
+    pthreads builds set the global count here.  BLAS that another thread
+    runs meanwhile is limited too, and two overlapping blocks may put the
+    counts back in the wrong order.
+    """
+    setters = _openblas_thread_setters()
+    previous = [set_threads(1) for set_threads in setters]
+    try:
+        yield
+    finally:
+        for set_threads, count in zip(setters, previous):
+            set_threads(count)

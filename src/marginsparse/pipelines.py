@@ -20,23 +20,25 @@ its reason, when the report cannot support it.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgeqp3
 
 from .errors import DataError, NumericalError
 from .bss import bss_select
 from .data import LabeledDataset, make_folds, apply_fold
 from .geometry import EnclosingBall, meb_radius
 from .leverage import leverage_select
-from .linalg import spectral_error, thin_svd, to_dense
+from .linalg import _one_blas_thread, spectral_error, thin_svd, to_dense
 from .operators import SamplingOperator
 from .sketch import approx_bss_select
-from .svm import SvmModel, _check_dual, _smo, error_rate, solve_dual
+from .svm import (SvmModel, _check_dual, _check_solver_params, _smo, error_rate,
+                  solve_dual)
 
 WEIGHTED_METHODS = ("bss", "leverage", "approx-bss")
 BASELINE_METHODS = ("uniform", "rrqr", "rfe")
@@ -44,6 +46,10 @@ METHODS = WEIGHTED_METHODS + BASELINE_METHODS
 
 # Relative slack verify_margin_bound allows every inequality for rounding.
 BOUND_SLACK = 1e-6
+
+# A CV fold whose training matrix has fewer entries (n_train * d) than this
+# runs its BLAS on one thread: its calls are too small to repay a second.
+ONE_THREAD_FOLD_ENTRIES = 4_000_000
 
 
 def uniform_select(d: int, r: int, seed: int) -> np.ndarray:
@@ -80,8 +86,15 @@ def rrqr_select(X, r):
                else None
                for rv in targets]
     if any(res is None for res in results):
-        _, piv = scipy.linalg.qr(M, mode="r", pivoting=True)  # no Q is formed
-        results = [piv[:rv].astype(np.intp) if res is None else res
+        # Only the pivots are read: no R and no Q.  The workspace comes from
+        # the same query scipy.linalg.qr makes, so the pivots match its own.
+        A = np.array(np.asarray_chkfinite(M), order="F")
+        lwork = int(dgeqp3(A, lwork=-1, overwrite_a=1)[3][0])  # a query: A is untouched
+        _, jpvt, _, _, info = dgeqp3(A, lwork=lwork, overwrite_a=1)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dgeqp3")
+        piv = jpvt.astype(np.intp) - 1  # LAPACK's pivots are 1-based
+        results = [piv[:rv] if res is None else res
                    for rv, res in zip(targets, results)]
     return _per_target(r, results)
 
@@ -469,8 +482,19 @@ def _cv_init(ctx):
 
 
 def _cv_fold(task):
-    """Every cell of one (repeat, fold): (method, r) cells in grid order,
-    then the full cell when asked for.
+    """Every cell of one (repeat, fold), its BLAS on one thread when the
+    fold is below ONE_THREAD_FOLD_ENTRIES, whatever the worker count."""
+    repeat, fold, cell_seed = task
+    data, plan = _CV_CTX[:2]
+    train, test = apply_fold(data, plan, repeat, fold)
+    small = train.n * train.d < ONE_THREAD_FOLD_ENTRIES
+    with _one_blas_thread() if small else contextlib.nullcontext():
+        return _fold_cells(train, test, repeat, fold, cell_seed)
+
+
+def _fold_cells(train, test, repeat, fold, cell_seed):
+    """The cells of one fold: (method, r) cells in grid order, then the
+    full cell when asked for.
 
     The fold's shared prefix runs once: the full-train solve, which is also
     the full baseline; in supervised mode the support-vector set; V when a
@@ -478,9 +502,7 @@ def _cv_fold(task):
     elimination path for every rfe r.  Each selecting cell then adds one
     sampled solve and its test error.
     """
-    repeat, fold, cell_seed = task
-    data, plan, methods, r_list, include_full, mode, C, t, chunk_fraction, kkt_tol = _CV_CTX
-    train, test = apply_fold(data, plan, repeat, fold)
+    methods, r_list, include_full, mode, C, t, chunk_fraction, kkt_tol = _CV_CTX[2:]
     nan = float("nan")
 
     def cell(method, r, op, fit):
@@ -547,12 +569,26 @@ def cv_experiment(data: LabeledDataset, methods, r, folds: int = 10,
     one RFE elimination path for all rfe r.  Each selecting cell then costs
     one selection, one sampled solve and its test error.
 
+    A fold whose training matrix has fewer than ONE_THREAD_FOLD_ENTRIES
+    entries runs its BLAS on one thread; the caller's thread count comes
+    back when the fold returns or raises.  Larger folds keep the caller's
+    threads.  The rule depends on the fold's size only, not on the worker
+    count.  Only OpenBLAS is limited; with another BLAS every fold runs as
+    called.  The limit is process-wide, so with workers=1 no other thread
+    of the calling process may run BLAS, or another cv_experiment, while
+    a small fold runs: that BLAS would run on one thread too, and the
+    counts put back could be the wrong ones.
+
+    C <= 0 or kkt_tol < 0 raise DataError before any fold runs; a refusal
+    that depends on a fold or a cell skips only those cells.
+
     The per-cell selection seed is derived from (seed, repeat, fold) with a
     seed sequence, as in a cell-at-a-time run, so cells are reproducible
     independently of execution order and worker count; workers > 1 maps
     folds over a process pool.  Returns a flat list of CvCell ordered by
     (method, r, repeat, fold), then the full cells by (repeat, fold).
     """
+    _check_solver_params(C, kkt_tol)
     if isinstance(methods, str):
         methods = [methods]
     r_list = [r] if np.isscalar(r) else list(r)

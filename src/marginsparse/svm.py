@@ -48,12 +48,17 @@ def error_rate(model: SvmModel, data: LabeledDataset) -> float:
     return float(np.mean(predict(model, data.X) != data.y))
 
 
-def _check_dual(data: LabeledDataset, C: float, kkt_tol: float) -> None:
-    """Raise DataError unless the dual on (data, C) with kkt_tol is solvable."""
+def _check_solver_params(C: float, kkt_tol: float) -> None:
+    """Raise DataError unless C and kkt_tol are valid for any dual."""
     if C <= 0:
         raise DataError("C must be positive")
     if kkt_tol < 0:
         raise DataError("kkt_tol must be non-negative")
+
+
+def _check_dual(data: LabeledDataset, C: float, kkt_tol: float) -> None:
+    """Raise DataError unless the dual on (data, C) with kkt_tol is solvable."""
+    _check_solver_params(C, kkt_tol)
     if data.n < 2:
         raise DataError("need at least two points")
     if not data.has_both_classes:

@@ -383,6 +383,50 @@ def test_cv_counts_below_their_minimum_are_usage_errors(
     assert f"error: {argv[0]} must be at least" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("command", [
+    ["select", "--features", "5"],
+    ["cv", "--features", "5"],
+    ["feature-freq", "--features", "5"],
+    ["verify", "--bound", "margin", "--features", "5"],
+])
+@pytest.mark.parametrize("flag, value, rule", [
+    ("--C", "0", "positive"),
+    ("--C", "-2", "positive"),
+    ("--C", "nan", "positive"),
+    ("--kkt-tol", "-1", "non-negative"),
+    ("--delta", "0", "in (0, 1)"),
+    ("--delta", "1", "in (0, 1)"),
+    ("--delta", "1.5", "in (0, 1)"),
+    ("--chunk-fraction", "1", "in [0, 1)"),
+    ("--chunk-fraction", "-0.1", "in [0, 1)"),
+])
+def test_invalid_solver_flags_are_usage_errors(capsys, monkeypatch, lowrank_path,
+                                               command, flag, value, rule):
+    def no_load(path):
+        raise AssertionError("the dataset was read")
+
+    monkeypatch.setattr(cli, "load_dataset", no_load)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--data", lowrank_path, flag, value])
+    assert exc.value.code == 2
+    assert f"error: {flag} must be {rule}, got {float(value)}" in capsys.readouterr().err
+
+
+def test_memory_error_is_a_data_error(capsys, monkeypatch, lowrank_path):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 14.2 GiB for an array")
+
+    monkeypatch.setattr(cli, "unsupervised_select", out_of_memory)
+    code, out = run_json(capsys, ["select", "--data", lowrank_path, "--method",
+                                  "leverage", "--mode", "unsupervised",
+                                  "--features", "100000000"])
+    assert code == 3
+    error = json.loads(out.err)["error"]
+    assert error["type"] == "data"
+    assert "not enough memory" in error["message"] and "14.2 GiB" in error["message"]
+    assert out.out == ""
+
 def test_feature_freq_negative_top_is_usage_error(capsys, lowrank_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["feature-freq", "--data", lowrank_path, "--top", "-1"])

@@ -1,9 +1,11 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import marginsparse.linalg as linalg
 import marginsparse.pipelines as pipelines
 from marginsparse.data import LabeledDataset, apply_fold, gen_synthetic, make_folds
 from marginsparse.errors import DataError, NumericalError
@@ -473,6 +475,152 @@ def test_feature_frequencies_counts_are_bounded():
     assert counts.shape == (10,)
     assert counts.max() <= len(live)
     assert counts.sum() >= len(live)  # every cell selects at least one feature
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"C": 0.0}, "C must be positive"),
+    ({"C": -2.0}, "C must be positive"),
+    ({"kkt_tol": -1.0}, "kkt_tol must be non-negative"),
+])
+def test_cv_invalid_solver_parameters_raise_before_any_fold(monkeypatch, kwargs, message):
+    def no_fold(task):
+        raise AssertionError("a fold ran")
+
+    monkeypatch.setattr(pipelines, "_cv_fold", no_fold)
+    data = rank_limited(24, 10, rank=3, seed=18)
+    with pytest.raises(DataError, match=message):
+        cv_experiment(data, "bss", 5, folds=3, repeats=1, **kwargs)
+
+
+# -------------------------------------------------------- BLAS threads in cv
+
+def _openblas_thread_controls():
+    """(getter, global setter) of each OpenBLAS copy loaded in this process."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line})
+    except OSError:
+        return []
+    controls = []
+    for path in (p for p in paths if p.startswith("/")):
+        lib = ctypes.CDLL(path)
+        for get, put in (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                         ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+                         ("openblas_get_num_threads", "openblas_set_num_threads")):
+            if hasattr(lib, get) and hasattr(lib, put):
+                getter, setter = getattr(lib, get), getattr(lib, put)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                controls.append((getter, setter))
+                break
+    return controls
+
+
+@pytest.fixture()
+def openblas_at_two_threads():
+    """Each loaded OpenBLAS's thread getter, with every copy set to 2 threads
+    for the test and set back to its own count after it."""
+    controls = _openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded")
+    before = [get() for get, _ in controls]
+    for _, put in controls:
+        put(2)
+    yield [get for get, _ in controls]
+    for (_, put), count in zip(controls, before):
+        put(count)
+
+
+def test_cv_folds_run_on_one_thread_and_restore_the_count(monkeypatch,
+                                                          openblas_at_two_threads):
+    getters = openblas_at_two_threads
+    data = rank_limited(30, 12, rank=4, seed=17)
+    seen = []
+    real = pipelines.solve_dual
+
+    def counting(*args, **kwargs):
+        seen.append([get() for get in getters])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipelines, "solve_dual", counting)
+    cv_experiment(data, "bss", 6, folds=3, repeats=1, seed=1)
+    assert seen and all(counts == [1] * len(getters) for counts in seen)
+    assert [get() for get in getters] == [2] * len(getters)
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("solver crashed")
+
+    monkeypatch.setattr(pipelines, "solve_dual", failing)
+    with pytest.raises(RuntimeError, match="solver crashed"):
+        cv_experiment(data, "bss", 6, folds=3, repeats=1, seed=1)
+    assert [get() for get in getters] == [2] * len(getters)
+
+
+def test_cv_folds_at_the_gate_keep_their_threads(monkeypatch):
+    calls = []
+
+    def setter(count):
+        calls.append(count)
+        return 7
+
+    monkeypatch.setattr(linalg, "_openblas_thread_setters", lambda: (setter,))
+    data = rank_limited(30, 12, rank=4, seed=17)  # 3 folds: 20 x 12 training matrices
+    monkeypatch.setattr(pipelines, "ONE_THREAD_FOLD_ENTRIES", 20 * 12)
+    cv_experiment(data, "bss", 6, folds=3, repeats=1, seed=1)
+    assert calls == []
+    monkeypatch.setattr(pipelines, "ONE_THREAD_FOLD_ENTRIES", 20 * 12 + 1)
+    cv_experiment(data, "bss", 6, folds=3, repeats=1, seed=1)
+    assert calls == [1, 7] * 3
+
+
+def _cell_bits(cells):
+    return [(c.method, c.r, c.repeat, c.fold, c.skipped, c.reason,
+             None if c.selected is None else c.selected.tolist(),
+             np.float64(c.error).tobytes(), np.float64(c.margin_sampled).tobytes())
+            for c in cells]
+
+
+def test_cv_cells_do_not_depend_on_the_blas_thread_limit(monkeypatch,
+                                                        openblas_at_two_threads):
+    # A cv-grid-sized fold (180 x 1000), so that two threads have work to
+    # split.  Selections and errors must agree exactly; margins may differ
+    # in the last bits, since threaded BLAS may sum in another order.
+    data = gen_synthetic(200, 1000, 40, seed=0)
+    kw = dict(methods=("bss", "rrqr", "rfe"), r=(30, 40), folds=10, repeats=1,
+              seed=902, mode="supervised", include_full=True)
+    runs = {}
+    for name, gate, found in (("limited", math.inf, None), ("unlimited", 0, None),
+                              ("no OpenBLAS", math.inf, ())):
+        with monkeypatch.context() as m:
+            m.setattr(pipelines, "ONE_THREAD_FOLD_ENTRIES", gate)
+            if found is not None:
+                m.setattr(linalg, "_openblas_thread_setters", lambda: found)
+            runs[name] = cv_experiment(data, **kw)
+    for name in ("unlimited", "no OpenBLAS"):
+        for a, b in zip(runs["limited"], runs[name], strict=True):
+            assert _cell_bits([a])[0][:7] == _cell_bits([b])[0][:7]
+            assert np.float64(a.error).tobytes() == np.float64(b.error).tobytes()
+            np.testing.assert_allclose(a.margin_sampled, b.margin_sampled,
+                                       rtol=1e-9, atol=0.0)
+
+
+def test_cv_folds_above_the_gate_are_worker_invariant(monkeypatch):
+    # With the gate at 0 every fold is above it, so no fold may be limited,
+    # whatever the worker count: the pool's forked workers see this patch.
+    @contextlib.contextmanager
+    def no_limit():
+        raise AssertionError("a fold above the gate was limited")
+        yield
+
+    monkeypatch.setattr(pipelines, "ONE_THREAD_FOLD_ENTRIES", 0)
+    monkeypatch.setattr(pipelines, "_one_blas_thread", no_limit)
+    data = gen_synthetic(60, 200, 10, seed=3)
+    kw = dict(methods=("bss", "rrqr", "rfe"), r=(10, 20), folds=3, repeats=2,
+              seed=5, mode="supervised", include_full=True)
+    assert (_cell_bits(cv_experiment(data, workers=1, **kw))
+            == _cell_bits(cv_experiment(data, workers=2, **kw)))
 
 
 # ------------------------------------------------- cv against the per-cell oracle
