@@ -1,14 +1,15 @@
 """Feature-selection protocols, baselines, and bound verification.
 
-Two protocols:
-
-* supervised — solve the SVM on the full training data, keep only the
-  support vectors, select columns from the right singular basis of the
-  support-vector matrix, then recalibrate the SVM on the sampled
-  support-vector set.
-* unsupervised — select columns from the right singular basis of the whole
-  training matrix (labels never touched), then solve on the sampled data.
-  select_geometry stops before the solves.
+One protocol serves select and every CV fold: solve the SVM on the
+training data; take the source, which is its support-vector set in
+supervised mode and the whole training matrix (labels never touched) in
+unsupervised mode; select columns from the right singular basis of the
+source; solve the SVM again on the sampled source.  A CV fold adds each
+cell's test error.  supervised_select and unsupervised_select add the
+spectral error, the enclosing balls of the source and of its sampled copy
+and, in supervised mode, the margin re-solved on the support vectors and
+the one solved on the sampled full data.  select_geometry makes the
+selection and those measures without any solve.
 
 Methods: bss (deterministic), leverage (seeded), approx-bss (sketched),
 plus unweighted baselines uniform / rrqr / rfe.  Baselines feed raw
@@ -36,7 +37,7 @@ from .geometry import EnclosingBall, meb_radius
 from .leverage import leverage_select
 from .linalg import _one_blas_thread, spectral_error, thin_svd, to_dense
 from .operators import SamplingOperator
-from .sketch import approx_bss_select
+from .sketch import gaussian_sketch
 from .svm import (SvmModel, _check_dual, _check_solver_params, _smo, error_rate,
                   solve_dual)
 
@@ -209,7 +210,10 @@ def _attempt(fn, *args, **kwargs):
         return exc
 
 
-def _check_mode(mode, method):
+def _check_method(method, mode=None):
+    """Refuse an unknown method, and rfe in unsupervised mode."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     if mode == "unsupervised" and method == "rfe":
         raise ValueError("rfe requires supervised mode (it uses the labels)")
 
@@ -225,94 +229,108 @@ def _support_vector_set(data: LabeledDataset, full_model: SvmModel) -> LabeledDa
     return sv_data
 
 
-def _select_operator(method, source, basis, r, seed, t) -> SamplingOperator:
-    """One selection by a method that takes a single r."""
-    if method == "bss":
-        return bss_select(basis(), r)
-    if method == "leverage":
-        if seed is None:
-            raise ValueError("leverage selection needs a seed")
-        return leverage_select(basis(), r, seed)
-    if method == "approx-bss":
-        if seed is None:
-            raise ValueError("approx-bss needs a seed for the sketch")
-        if t is None:
-            raise ValueError("approx-bss needs t (sketch rows)")
-        return approx_bss_select(source.X, t, r, seed)
-    if method == "uniform":
-        if seed is None:
-            raise ValueError("uniform selection needs a seed")
-        idx = uniform_select(source.d, r, seed)
-        return SamplingOperator(source.d, idx, np.ones(idx.size))
-    raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-
-
 def _select_operators(method, source, basis, rs, seed, *, C, t, chunk_fraction,
                       kkt_tol) -> list:
     """Per r in rs, the operator, or the error that stopped that selection.
 
     source is the dataset selected from; basis() returns the right singular
     basis V of source.X, computed on first use.  rrqr and rfe run one QR or
-    one elimination path for all of rs.
+    one elimination path for all of rs, and approx-bss one sketch and its SVD.
     """
     if method == "rrqr":
         picks = _attempt(rrqr_select, source.X, rs)
     elif method == "rfe":
         picks = _attempt(rfe_select, source, rs, C=C,
                          chunk_fraction=chunk_fraction, kkt_tol=kkt_tol)
+    elif seed is None and method != "bss":
+        picks = ValueError(f"{method} selection needs a seed")
+    elif method == "approx-bss" and t is None:
+        picks = ValueError("approx-bss needs t (sketch rows)")
+    elif method == "uniform":
+        picks = [_attempt(uniform_select, source.d, r, seed) for r in rs]
     else:
-        return [_attempt(_select_operator, method, source, basis, r, seed, t)
-                for r in rs]
+        if method == "approx-bss":
+            basis = functools.cache(lambda: thin_svd(gaussian_sketch(source.X, t, seed)).V)
+        select = ((lambda r: leverage_select(basis(), r, seed)) if method == "leverage"
+                  else (lambda r: bss_select(basis(), r)))
+        return [_attempt(select, r) for r in rs]
     if isinstance(picks, Exception):
         return [picks] * len(rs)
     return [idx if isinstance(idx, Exception)
             else SamplingOperator(source.d, idx, np.ones(idx.size)) for idx in picks]
 
 
-def _recalibrate(op, source, C, kkt_tol):
-    """The sampled source and the SVM solved on it."""
-    sampled = LabeledDataset(op.apply(source.X), source.y)
-    return sampled, solve_dual(sampled, C, kkt_tol)
+def _protocol(train, mode, methods, r_list, seed, *, C, t, chunk_fraction, kkt_tol):
+    """The protocol that select and every CV fold share.
 
-
-def _selection_geometry(method, mode, r, seed, source, *, C, t, chunk_fraction,
-                        kkt_tol, meb_delta):
-    """Select from source and measure the selection, solving no SVM.
-
-    Returns the report without solves and the sampled source matrix.  The
-    spectral error is measured for weighted methods only, on source's
-    basis; that basis also spans the centre of source's ball, a convex
-    combination of its rows, which the radius bound needs.
+    Solves the SVM on train, selects from the source (its support vectors
+    in supervised mode, else train) for each method and r, and solves on
+    each sampled source.  Returns the full-train model (or its error), the
+    source (or its error), basis() (source's right singular basis, computed
+    on first use) and, per method, for each r (op, the sampled source, the
+    model solved on it) or the error that stopped that cell.
     """
+    full_model = _attempt(solve_dual, train, C, kkt_tol)
+    if isinstance(full_model, Exception):
+        source = full_model
+    else:
+        source = (_attempt(_support_vector_set, train, full_model)
+                  if mode == "supervised" else train)
     basis = functools.cache(lambda: thin_svd(source.X).V)
-    [op] = _select_operators(method, source, basis, [r], seed, C=C, t=t,
-                             chunk_fraction=chunk_fraction, kkt_tol=kkt_tol)
-    if isinstance(op, Exception):
-        raise op
-    sampled_X = op.apply(source.X)
+
+    def fit(op):
+        sampled = LabeledDataset(op.apply(source.X), source.y)
+        return op, sampled, solve_dual(sampled, C, kkt_tol)
+
+    fits = {}
+    for method in dict.fromkeys(methods):
+        refusal = _attempt(_check_method, method, mode)
+        if refusal is None and not isinstance(source, Exception):
+            ops = _select_operators(method, source, basis, r_list, seed, C=C, t=t,
+                                    chunk_fraction=chunk_fraction, kkt_tol=kkt_tol)
+        else:
+            ops = [refusal or source] * len(r_list)
+        fits[method] = [op if isinstance(op, Exception) else _attempt(fit, op)
+                        for op in ops]
+    return full_model, source, basis, fits
+
+
+def _measure(method, mode, seed, source, basis, op, sampled_X, meb_delta) -> SelectionReport:
+    """The report of op, selected from source, before any margin: the
+    spectral error on source's basis (weighted methods only), which also
+    spans the centre of source's ball, as the radius bound needs, and the
+    balls of source.X and of its sampled copy sampled_X."""
     err = spectral_error(basis(), op.indices, op.weights) if method in WEIGHTED_METHODS else None
-    report = SelectionReport(
+    return SelectionReport(
         method=method, mode=mode, r=op.r, operator=op, spectral_error=err,
         ball_full=meb_radius(source.X, meb_delta),
         ball_sampled=meb_radius(sampled_X, meb_delta), seed=seed)
-    return report, sampled_X
 
 
-def _selection_report(method, mode, r, seed, source, margin_full, n_support,
-                      full_data, *, C, t, chunk_fraction, kkt_tol, meb_delta) -> SelectionReport:
-    """_selection_geometry on source, then the solves: the SVM on the
-    sampled source and, when full_data is given, on the sampled full_data."""
-    report, sampled_X = _selection_geometry(
-        method, mode, r, seed, source, C=C, t=t, chunk_fraction=chunk_fraction,
-        kkt_tol=kkt_tol, meb_delta=meb_delta)
-    model_sampled = solve_dual(LabeledDataset(sampled_X, source.y), C, kkt_tol)
-    if full_data is None:
-        margin_sampled_full = model_sampled.margin
-    else:
-        full_sampled = LabeledDataset(report.operator.apply(full_data.X), full_data.y)
+def _select(data, mode, method, r, C, seed, *, t, chunk_fraction, kkt_tol,
+            meb_delta) -> SelectionReport:
+    """One selection by the protocol, measured, with its margins.  In
+    supervised mode margin_full is re-solved on the support vectors and
+    margin_sampled_full_data on the sampled full data."""
+    _check_method(method, mode)
+    full_model, source, basis, fits = _protocol(
+        data, mode, [method], [r], seed, C=C, t=t, chunk_fraction=chunk_fraction,
+        kkt_tol=kkt_tol)
+    [fit] = fits[method]
+    if isinstance(fit, Exception):
+        raise fit
+    op, sampled, model_sampled = fit
+    if mode == "supervised":
+        margin_full, n_support = solve_dual(source, C, kkt_tol).margin, source.n
+        full_sampled = LabeledDataset(op.apply(data.X), data.y)
         margin_sampled_full = solve_dual(full_sampled, C, kkt_tol).margin
+    else:
+        margin_full = full_model.margin
+        n_support = int(full_model.support_indices.size)
+        margin_sampled_full = model_sampled.margin
     return replace(
-        report, margin_full=margin_full, margin_sampled=model_sampled.margin,
+        _measure(method, mode, seed, source, basis, op, sampled.X, meb_delta),
+        margin_full=margin_full, margin_sampled=model_sampled.margin,
         margin_sampled_full_data=margin_sampled_full, C=float(C),
         n_support=n_support, model_sampled=model_sampled)
 
@@ -325,10 +343,14 @@ def select_geometry(data: LabeledDataset, method: str, r: int,
     The selection is unsupervised_select's, but no SVM is solved, so the
     report decides the radius bound and leaves the margin and ratio na.
     """
-    _check_mode("unsupervised", method)
-    return _selection_geometry(method, "unsupervised", r, seed, data, C=1.0, t=t,
-                               chunk_fraction=0.1, kkt_tol=1e-4,
-                               meb_delta=meb_delta)[0]
+    _check_method(method, "unsupervised")
+    basis = functools.cache(lambda: thin_svd(data.X).V)
+    [op] = _select_operators(method, data, basis, [r], seed, C=1.0, t=t,
+                             chunk_fraction=0.1, kkt_tol=1e-4)
+    if isinstance(op, Exception):
+        raise op
+    return _measure(method, "unsupervised", seed, data, basis, op,
+                    op.apply(data.X), meb_delta)
 
 
 def supervised_select(data: LabeledDataset, method: str, r: int, C: float = 1.0,
@@ -343,24 +365,17 @@ def supervised_select(data: LabeledDataset, method: str, r: int, C: float = 1.0,
     the sampled support-vector set.  The balls are those of the
     support-vector set and its sampled copy.
     """
-    sv_data = _support_vector_set(data, solve_dual(data, C, kkt_tol))
-    sv_model = solve_dual(sv_data, C, kkt_tol)
-    return _selection_report(
-        method, "supervised", r, seed, sv_data, sv_model.margin, sv_data.n,
-        data, C=C, t=t, chunk_fraction=chunk_fraction, kkt_tol=kkt_tol,
-        meb_delta=meb_delta)
+    return _select(data, "supervised", method, r, C, seed, t=t,
+                   chunk_fraction=chunk_fraction, kkt_tol=kkt_tol,
+                   meb_delta=meb_delta)
 
 
 def unsupervised_select(data: LabeledDataset, method: str, r: int, C: float = 1.0,
                         seed: int | None = None, *, t: int | None = None,
                         kkt_tol: float = 1e-4, meb_delta: float = 1e-3) -> SelectionReport:
     """Select from the full data matrix; labels are used only to fit SVMs."""
-    _check_mode("unsupervised", method)
-    full_model = solve_dual(data, C, kkt_tol)
-    return _selection_report(
-        method, "unsupervised", r, seed, data, full_model.margin,
-        int(full_model.support_indices.size), None, C=C, t=t,
-        chunk_fraction=0.1, kkt_tol=kkt_tol, meb_delta=meb_delta)
+    return _select(data, "unsupervised", method, r, C, seed, t=t,
+                   chunk_fraction=0.1, kkt_tol=kkt_tol, meb_delta=meb_delta)
 
 
 @dataclass(frozen=True)
@@ -496,20 +511,18 @@ def _fold_cells(train, test, repeat, fold, cell_seed):
     """The cells of one fold: (method, r) cells in grid order, then the
     full cell when asked for.
 
-    The fold's shared prefix runs once: the full-train solve, which is also
-    the full baseline; in supervised mode the support-vector set; V when a
-    bss or leverage cell reads it; one QR for every rrqr r and one
-    elimination path for every rfe r.  Each selecting cell then adds one
-    sampled solve and its test error.
+    _protocol runs the fold's work once; the fold adds each cell's test
+    error, and skips every cell of a single-class training fold.
     """
     methods, r_list, include_full, mode, C, t, chunk_fraction, kkt_tol = _CV_CTX[2:]
     nan = float("nan")
 
-    def cell(method, r, op, fit):
-        """fit is (the data the cell solved on, its model), or the error that skips it."""
+    def cell(method, r, fit):
+        """fit is (op, the data solved on, its model), op None for the
+        full cell, or the error that skips the cell."""
         if isinstance(fit, Exception):
             return CvCell(method, r, repeat, fold, nan, nan, None, True, str(fit))
-        _, model = fit
+        op, _, model = fit
         if op is None:
             return CvCell(method, r, repeat, fold, error_rate(model, test),
                           model.margin, None, False)
@@ -522,37 +535,14 @@ def _fold_cells(train, test, repeat, fold, cell_seed):
         grid.append(("full", None))
     if not train.has_both_classes:
         skip = DataError("single-class training fold")
-        return [cell(m, None if m == "full" else r_list[i], None, skip) for m, i in grid]
+        return [cell(m, None if m == "full" else r_list[i], skip) for m, i in grid]
 
-    full_model = _attempt(solve_dual, train, C, kkt_tol)
-    if isinstance(full_model, Exception):
-        full_fit = source = full_model
-    else:
-        full_fit = (train, full_model)
-        source = (_attempt(_support_vector_set, train, full_model)
-                  if mode == "supervised" else train)
-    basis = functools.cache(lambda: thin_svd(source.X).V)
-    selections = {}
-    for method in dict.fromkeys(methods):
-        if method == "full":
-            continue
-        refusal = _attempt(_check_mode, mode, method)
-        if refusal is None and not isinstance(source, Exception):
-            selections[method] = _select_operators(
-                method, source, basis, r_list, cell_seed, C=C, t=t,
-                chunk_fraction=chunk_fraction, kkt_tol=kkt_tol)
-        else:
-            selections[method] = [refusal or source] * len(r_list)
-
-    cells = []
-    for method, i in grid:
-        if method == "full":
-            cells.append(cell(method, None, None, full_fit))
-            continue
-        op = selections[method][i]
-        fit = op if isinstance(op, Exception) else _attempt(_recalibrate, op, source, C, kkt_tol)
-        cells.append(cell(method, r_list[i], op, fit))
-    return cells
+    full_model, _, _, fits = _protocol(
+        train, mode, [m for m in methods if m != "full"], r_list, cell_seed, C=C,
+        t=t, chunk_fraction=chunk_fraction, kkt_tol=kkt_tol)
+    full_fit = full_model if isinstance(full_model, Exception) else (None, train, full_model)
+    return [cell(m, None, full_fit) if m == "full" else cell(m, r_list[i], fits[m][i])
+            for m, i in grid]
 
 
 def cv_experiment(data: LabeledDataset, methods, r, folds: int = 10,
@@ -565,9 +555,10 @@ def cv_experiment(data: LabeledDataset, methods, r, folds: int = 10,
     The unit of work is one (repeat, fold).  Its shared work runs once for
     all of its cells: the split, the full-train solve (which also gives the
     full baseline cell), the support-vector set, the right singular basis
-    (only for bss and leverage cells), one pivoted QR for all rrqr r and
-    one RFE elimination path for all rfe r.  Each selecting cell then costs
-    one selection, one sampled solve and its test error.
+    (only for bss and leverage cells), one pivoted QR for all rrqr r, one
+    RFE elimination path for all rfe r and one sketch and its SVD for all
+    approx-bss r.  Each selecting cell then costs one selection, one
+    sampled solve and its test error.
 
     A fold whose training matrix has fewer than ONE_THREAD_FOLD_ENTRIES
     entries runs its BLAS on one thread; the caller's thread count comes
@@ -579,8 +570,10 @@ def cv_experiment(data: LabeledDataset, methods, r, folds: int = 10,
     a small fold runs: that BLAS would run on one thread too, and the
     counts put back could be the wrong ones.
 
-    C <= 0 or kkt_tol < 0 raise DataError before any fold runs; a refusal
-    that depends on a fold or a cell skips only those cells.
+    C <= 0 or kkt_tol < 0 raise DataError, and an empty methods or a
+    method neither in METHODS nor "full" raises ValueError, before any fold
+    runs; a refusal that depends on a fold or a cell (rfe in unsupervised
+    mode among them) skips only those cells.
 
     The per-cell selection seed is derived from (seed, repeat, fold) with a
     seed sequence, as in a cell-at-a-time run, so cells are reproducible
@@ -589,8 +582,12 @@ def cv_experiment(data: LabeledDataset, methods, r, folds: int = 10,
     (method, r, repeat, fold), then the full cells by (repeat, fold).
     """
     _check_solver_params(C, kkt_tol)
-    if isinstance(methods, str):
-        methods = [methods]
+    methods = [methods] if isinstance(methods, str) else list(methods)
+    if not methods:
+        raise ValueError("no method to cross-validate")
+    for method in methods:
+        if method != "full":
+            _check_method(method)
     r_list = [r] if np.isscalar(r) else list(r)
     plan = make_folds(data.n, folds, repeats, seed)
     tasks = []
@@ -599,7 +596,7 @@ def cv_experiment(data: LabeledDataset, methods, r, folds: int = 10,
             ss = np.random.SeedSequence(seed, spawn_key=(repeat, fold))
             tasks.append((repeat, fold, int(ss.generate_state(1)[0])))
 
-    ctx = (data, plan, list(methods), r_list, include_full, mode, C, t,
+    ctx = (data, plan, methods, r_list, include_full, mode, C, t,
            chunk_fraction, kkt_tol)
     if workers <= 1:
         _cv_init(ctx)

@@ -558,3 +558,47 @@ def identity_operator(d):
     """The SamplingOperator that keeps every feature with unit weight."""
     from marginsparse.operators import SamplingOperator
     return SamplingOperator(d, np.arange(d), np.ones(d))
+
+
+def select_reference(data, mode, method, r, C=1.0, seed=None, t=None,
+                     chunk_fraction=0.1, kkt_tol=1e-4):
+    """One selection, its steps written out from the package's primitives:
+    the reference for the protocol that pipelines shares between select
+    and every CV fold.
+
+    Solve the SVM on data; in supervised mode keep only its support
+    vectors; take the right singular basis of what is left (of its Gaussian
+    sketch for approx-bss); select r columns; solve again on the sampled,
+    rescaled columns.  Returns (indices, weights, the sampled model).
+    """
+    from marginsparse.bss import bss_select
+    from marginsparse.data import LabeledDataset
+    from marginsparse.leverage import leverage_select
+    from marginsparse.linalg import thin_svd
+    from marginsparse.pipelines import rfe_select, rrqr_select, uniform_select
+    from marginsparse.sketch import gaussian_sketch
+    from marginsparse.svm import solve_dual
+
+    X, y = np.asarray(data.X), data.y
+    model = solve_dual(data, C, kkt_tol)
+    if mode == "supervised":
+        sv = model.support_indices
+        X, y = X[sv], y[sv]
+    if method in ("bss", "leverage", "approx-bss"):
+        if method == "approx-bss":
+            op = bss_select(thin_svd(gaussian_sketch(X, t, seed)).V, r)
+        elif method == "bss":
+            op = bss_select(thin_svd(X).V, r)
+        else:
+            op = leverage_select(thin_svd(X).V, r, seed)
+        idx, w = op.indices, op.weights
+    else:
+        if method == "uniform":
+            idx = uniform_select(X.shape[1], r, seed)
+        elif method == "rrqr":
+            idx = rrqr_select(X, r)
+        else:
+            idx = rfe_select(LabeledDataset(X, y), r, C, chunk_fraction, kkt_tol)
+        w = np.ones(idx.size)
+    sampled = solve_dual(LabeledDataset(X[:, idx] * w, y), C, kkt_tol)
+    return idx, w, sampled

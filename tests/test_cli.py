@@ -164,6 +164,19 @@ def test_cv_grid_rows(capsys, lowrank_path):
             assert row["std_error"] >= 0.0
 
 
+@pytest.mark.parametrize("methods, message", [
+    ("bogus", "unknown method 'bogus'"),
+    ("", "no method"),
+])
+def test_cv_unknown_or_no_methods_are_usage_errors(capsys, lowrank_path, methods,
+                                                   message):
+    code, out = run_json(capsys, ["cv", "--data", lowrank_path, "--methods", methods,
+                                  "--features", "8", "--folds", "3", "--repeats", "1"])
+    assert code == 2
+    assert message in json.loads(out.err)["error"]["message"]
+    assert out.out == ""
+
+
 def test_cv_no_full_baseline(capsys, lowrank_path):
     code, out = run_json(capsys, [
         "cv", "--data", lowrank_path, "--methods", "bss",

@@ -27,7 +27,7 @@ from marginsparse.pipelines import (
 )
 from marginsparse.svm import error_rate, solve_dual
 
-from oracles import identity_operator, rfe_reference
+from oracles import identity_operator, rfe_reference, select_reference
 
 
 def rank_limited(n, d, rank, seed, push=2.0):
@@ -296,10 +296,13 @@ def test_identity_sampling_preserves_margin():
     assert rep.margin_sampled == pytest.approx(rep.margin_full, rel=1e-8)
 
 
-def test_unknown_method_and_missing_arguments():
+def test_unknown_method_and_missing_arguments(monkeypatch):
     data = gen_synthetic(n=20, d=10, k=2, seed=14)
-    with pytest.raises(ValueError, match="unknown method"):
-        supervised_select(data, "lasso", r=5)
+    with monkeypatch.context() as m:
+        m.setattr(pipelines, "solve_dual", None)  # any solve would fail
+        for select in (supervised_select, unsupervised_select):
+            with pytest.raises(ValueError, match="unknown method 'lasso'"):
+                select(data, "lasso", r=5)
     with pytest.raises(ValueError, match="seed"):
         supervised_select(data, "leverage", r=25)
     with pytest.raises(ValueError, match="seed"):
@@ -307,6 +310,58 @@ def test_unknown_method_and_missing_arguments():
     with pytest.raises(ValueError, match="t"):
         supervised_select(data, "approx-bss", r=25, seed=1)
 
+
+UNSUPERVISED_METHODS = ("bss", "leverage", "approx-bss", "uniform", "rrqr")
+
+
+@pytest.mark.parametrize("mode, method", [
+    *(("supervised", m) for m in (*UNSUPERVISED_METHODS, "rfe")),
+    *(("unsupervised", m) for m in UNSUPERVISED_METHODS),
+])
+def test_select_matches_the_step_by_step_reference(mode, method):
+    # 60 x 300: 19 support vectors, so the supervised basis is 300 x 19 and
+    # the unsupervised one 300 x 60; r = 80 is above both.
+    data = gen_synthetic(60, 300, 10)
+    select = supervised_select if mode == "supervised" else unsupervised_select
+    rep = select(data, method, 80, seed=7, t=30)
+    idx, w, model = select_reference(data, mode, method, 80, seed=7, t=30)
+    np.testing.assert_array_equal(rep.selected_indices, idx)
+    np.testing.assert_array_equal(rep.weights, w)
+    assert np.float64(rep.margin_sampled).tobytes() == np.float64(model.margin).tobytes()
+
+
+def count_calls(monkeypatch, *names):
+    """Calls from pipelines to each named function, counted as they run."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _real=getattr(pipelines, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(pipelines, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("entry, solves", [
+    (lambda data: supervised_select(data, "bss", 80), 4),
+    (lambda data: unsupervised_select(data, "bss", 80), 2),
+    (lambda data: select_geometry(data, "bss", 80), 0),
+], ids=["supervised_select", "unsupervised_select", "select_geometry"])
+def test_each_select_entry_point_does_its_known_work(monkeypatch, entry, solves):
+    # supervised: the full solve, the support-vector re-solve, the sampled
+    # solve and the sampled-full-data solve; unsupervised: the full and the
+    # sampled solve.  Every entry point takes one SVD and two balls.
+    counts = count_calls(monkeypatch, "solve_dual", "thin_svd", "meb_radius")
+    entry(gen_synthetic(60, 300, 10))
+    assert counts == {"solve_dual": solves, "thin_svd": 1, "meb_radius": 2}
+
+
+def test_a_cv_fold_solves_once_plus_once_per_selecting_cell(monkeypatch):
+    counts = count_calls(monkeypatch, "solve_dual", "thin_svd", "meb_radius")
+    cells = cv_experiment(gen_synthetic(60, 300, 10), ("bss", "rrqr"), (40, 50),
+                          folds=2, repeats=1, seed=1, include_full=True)
+    assert not any(c.skipped for c in cells)
+    selecting = sum(c.method != "full" for c in cells)
+    assert counts == {"solve_dual": 2 + selecting, "thin_svd": 2, "meb_radius": 0}
 
 # ------------------------------------------------------------ verify bounds
 
@@ -477,19 +532,41 @@ def test_feature_frequencies_counts_are_bounded():
     assert counts.sum() >= len(live)  # every cell selects at least one feature
 
 
+def no_fold(task):
+    raise AssertionError("a fold ran")
+
+
 @pytest.mark.parametrize("kwargs, message", [
     ({"C": 0.0}, "C must be positive"),
     ({"C": -2.0}, "C must be positive"),
     ({"kkt_tol": -1.0}, "kkt_tol must be non-negative"),
 ])
 def test_cv_invalid_solver_parameters_raise_before_any_fold(monkeypatch, kwargs, message):
-    def no_fold(task):
-        raise AssertionError("a fold ran")
-
     monkeypatch.setattr(pipelines, "_cv_fold", no_fold)
     data = rank_limited(24, 10, rank=3, seed=18)
     with pytest.raises(DataError, match=message):
         cv_experiment(data, "bss", 5, folds=3, repeats=1, **kwargs)
+
+
+@pytest.mark.parametrize("methods, message", [
+    (("bss", "bogus"), "unknown method 'bogus'"),
+    (("full", "lasso"), "unknown method 'lasso'"),
+    ((), "no method"),
+])
+def test_cv_unknown_or_no_methods_raise_before_any_fold(monkeypatch, methods, message):
+    monkeypatch.setattr(pipelines, "_cv_fold", no_fold)
+    data = rank_limited(24, 10, rank=3, seed=18)
+    with pytest.raises(ValueError, match=message):
+        cv_experiment(data, methods, 5, folds=3, repeats=1)
+
+
+def test_cv_fold_sketches_once_for_every_approx_bss_r(monkeypatch):
+    counts = count_calls(monkeypatch, "gaussian_sketch")
+    data = rank_limited(30, 12, rank=4, seed=17)
+    cells = cv_experiment(data, "approx-bss", (5, 6, 7), folds=2, repeats=1,
+                          seed=1, mode="unsupervised", t=4)
+    assert sum(not c.skipped for c in cells) == 6
+    assert counts == {"gaussian_sketch": 2}
 
 
 # -------------------------------------------------------- BLAS threads in cv
