@@ -22,7 +22,7 @@ from .errors import DataError, NumericalError
 from .bss import bss_select
 from .data import gen_synthetic, load_dataset, write_svmlight
 from .linalg import spectral_error
-from .pipelines import (METHODS, cv_experiment, feature_frequencies,
+from .pipelines import (METHODS, MODES, cv_experiment, feature_frequencies,
                         select_geometry, summarize_cv, supervised_select,
                         unsupervised_select, verify_margin_bound)
 
@@ -46,7 +46,7 @@ def _jsonify(obj):
 
 
 def _emit(payload, out_path):
-    text = json.dumps(_jsonify(payload), indent=2) + "\n"
+    text = json.dumps(_jsonify({"schema": SCHEMA, **payload}), indent=2) + "\n"
     if out_path:
         with open(out_path, "w") as f:
             f.write(text)
@@ -65,25 +65,31 @@ def _run_selection(args):
                                **kwargs)
 
 
+def _report_fields(rep):
+    """What select and verify --bound margin both print of a report."""
+    return {
+        "method": rep.method,
+        "mode": rep.mode,
+        "r": rep.r,
+        "seed": rep.seed,
+        "spectral_error": rep.spectral_error,
+        "margin_full": rep.margin_full,
+        "margin_sampled": rep.margin_sampled,
+        "radius_full": rep.ball_full.radius,
+        "radius_sampled": rep.ball_sampled.radius,
+    }
+
+
 def cmd_select(args):
     t0 = time.perf_counter()
     rep = _run_selection(args)
     bounds = verify_margin_bound(rep)
     payload = {
-        "schema": SCHEMA,
-        "method": rep.method,
-        "mode": rep.mode,
-        "r": rep.r,
-        "seed": rep.seed,
+        **_report_fields(rep),
         "C": rep.C,
         "selected_indices": rep.selected_indices,
         "weights": rep.weights,
-        "margin_full": rep.margin_full,
-        "margin_sampled": rep.margin_sampled,
         "margin_sampled_full_data": rep.margin_sampled_full_data,
-        "spectral_error": rep.spectral_error,
-        "radius_full": rep.ball_full.radius,
-        "radius_sampled": rep.ball_sampled.radius,
         "n_support": rep.n_support,
         "bound_checks": {
             "margin": bounds.margin_status,
@@ -106,28 +112,10 @@ def cmd_cv(args):
                           kkt_tol=args.kkt_tol,
                           include_full=not args.no_full_baseline,
                           workers=args.workers)
-    stats = summarize_cv(cells)
-    groups = {}
-    for cell in cells:
-        groups.setdefault((cell.method, cell.r), []).append(cell)
-    rows = []
-    for (method, r), stat in stats.items():
-        grp = sorted(groups[(method, r)], key=lambda c: (c.repeat, c.fold))
-        rows.append({
-            "method": method,
-            "r": r,
-            "mean_error": stat["mean_error"],
-            "std_error": stat["std_error"],
-            "cells": stat["cells"],
-            "skipped": stat["skipped"],
-            "margins": [c.margin_sampled for c in grp if not c.skipped],
-            "skipped_cells": [
-                {"repeat": c.repeat, "fold": c.fold, "reason": c.reason}
-                for c in grp if c.skipped
-            ],
-        })
+    # each group's cells come in (repeat, fold) order
+    rows = [{"method": method, "r": r, **stat}
+            for (method, r), stat in summarize_cv(cells).items()]
     payload = {
-        "schema": SCHEMA,
         "mode": args.mode,
         "folds": args.folds,
         "repeats": args.repeats,
@@ -166,7 +154,6 @@ def _verify_spectral(args):
         if err > bound or sig.min() < lo - 1e-9 or sig.max() > hi + 1e-9:
             failures += 1
     return {
-        "schema": SCHEMA,
         "bound": "spectral",
         "l": args.l,
         "r": args.r,
@@ -184,17 +171,8 @@ def _verify_margin(args):
     rep = _run_selection(args)
     b = verify_margin_bound(rep)
     return {
-        "schema": SCHEMA,
         "bound": "margin",
-        "method": args.method,
-        "mode": args.mode,
-        "r": args.features,
-        "seed": args.seed,
-        "spectral_error": rep.spectral_error,
-        "margin_full": rep.margin_full,
-        "margin_sampled": rep.margin_sampled,
-        "radius_full": rep.ball_full.radius,
-        "radius_sampled": rep.ball_sampled.radius,
+        **_report_fields(rep),
         "margin_check": asdict(b.margin),
         "radius_check": asdict(b.radius),
         "ratio_check": {**asdict(b.ratio), "epsilon": b.epsilon_hat},
@@ -208,7 +186,6 @@ def _verify_radius(args):
                           args.seed, t=args.t, meb_delta=args.delta)
     chk = verify_margin_bound(rep).radius
     return {
-        "schema": SCHEMA,
         "bound": "radius",
         "method": args.method,
         "r": args.features,
@@ -248,7 +225,6 @@ def cmd_feature_freq(args):
     ranked = [{"index": int(i), "feature_id": int(i) + 1, "count": int(freq[i])}
               for i in order if freq[i] > 0]
     payload = {
-        "schema": SCHEMA,
         "method": args.method,
         "mode": args.mode,
         "r": r,
@@ -266,12 +242,15 @@ def cmd_feature_freq(args):
     return 0
 
 
-def _add_common_selection_flags(p, need_data=True):
-    if need_data:
-        p.add_argument("--data", required=True, help="dataset path (svmlight or .csv)")
-    p.add_argument("--method", default="bss", choices=list(METHODS))
-    p.add_argument("--mode", default="supervised",
-                   choices=["supervised", "unsupervised"])
+def _flag_sets():
+    """The parent parsers whose flags the subcommands share, by name."""
+    sets = {name: argparse.ArgumentParser(add_help=False)
+            for name in ("data", "method", "solver", "ball", "grid")}
+    sets["data"].add_argument("--data", required=True,
+                              help="dataset path (svmlight or .csv)")
+    sets["method"].add_argument("--method", default="bss", choices=list(METHODS))
+    p = sets["solver"]
+    p.add_argument("--mode", default="supervised", choices=list(MODES))
     p.add_argument("--C", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--t", type=int, default=None,
@@ -279,9 +258,14 @@ def _add_common_selection_flags(p, need_data=True):
     p.add_argument("--chunk-fraction", dest="chunk_fraction", type=float,
                    default=0.1, help="rfe elimination fraction per round")
     p.add_argument("--kkt-tol", dest="kkt_tol", type=float, default=1e-4)
-    p.add_argument("--delta", type=float, default=1e-3,
-                   help="enclosing-ball approximation parameter")
     p.add_argument("--out", default=None, help="output path (default stdout)")
+    sets["ball"].add_argument("--delta", type=float, default=1e-3,
+                              help="enclosing-ball approximation parameter")
+    p = sets["grid"]
+    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--repeats", type=int, default=10)
+    p.add_argument("--workers", type=int, default=1)
+    return sets
 
 
 def build_parser():
@@ -289,26 +273,26 @@ def build_parser():
         prog="marginsparse",
         description="Margin-preserving feature selection for linear SVMs.")
     sub = parser.add_subparsers(dest="command", required=True)
+    sets = _flag_sets()
 
-    p = sub.add_parser("select", help="run one feature selection")
-    _add_common_selection_flags(p)
+    def add(name, summary, *flag_sets):
+        return sub.add_parser(name, help=summary,
+                              parents=[sets[s] for s in flag_sets])
+
+    p = add("select", "run one feature selection", "data", "method", "solver", "ball")
     p.add_argument("--features", type=int, required=True, help="number r of features")
     p.set_defaults(func=cmd_select)
 
-    p = sub.add_parser("cv", help="repeated k-fold cross-validation grid")
-    _add_common_selection_flags(p)
+    p = add("cv", "repeated k-fold cross-validation grid", "data", "solver", "grid")
     p.add_argument("--methods", default="bss",
                    help="comma-separated list (may include 'full')")
     p.add_argument("--features", type=int, nargs="*", default=None,
                    help=f"r grid (default {list(DEFAULT_R_GRID)})")
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--no-full-baseline", action="store_true",
                    help="skip the no-selection baseline row")
     p.set_defaults(func=cmd_cv)
 
-    p = sub.add_parser("synth", help="write a synthetic dataset")
+    p = add("synth", "write a synthetic dataset")
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--d", type=int, default=1000)
     p.add_argument("--k", type=int, default=40)
@@ -316,7 +300,8 @@ def build_parser():
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("verify", help="check a spectral/margin/radius bound")
+    p = add("verify", "check a spectral/margin/radius bound",
+            "method", "solver", "ball")
     p.add_argument("--bound", required=True,
                    choices=["spectral", "margin", "radius"])
     p.add_argument("--l", type=int, default=8, help="columns of V (spectral)")
@@ -324,19 +309,14 @@ def build_parser():
     p.add_argument("--r", dest="r", type=int, default=128,
                    help="selections per trial (spectral)")
     p.add_argument("--trials", type=int, default=50)
-    _add_common_selection_flags(p, need_data=False)
     p.add_argument("--data", default=None,
                    help="dataset path (margin and radius bounds)")
     p.add_argument("--features", type=int, default=None)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("feature-freq",
-                       help="selection frequency of each feature across CV folds")
-    _add_common_selection_flags(p)
+    p = add("feature-freq", "selection frequency of each feature across CV folds",
+            "data", "method", "solver", "grid")
     p.add_argument("--features", type=int, default=None)
-    p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--top", type=int, default=5)
     p.set_defaults(func=cmd_feature_freq)
 
@@ -367,7 +347,7 @@ def main(argv=None) -> int:
         value = getattr(args, flag, None)
         if value is not None and value < least:
             parser.error(f"--{flag} must be at least {least}, got {value}")
-    # solver and ball parameters, shared by every subcommand but synth
+    # solver and ball parameters, where the subcommand takes them
     for flag, valid, span in (("C", lambda v: v > 0, "positive"),
                               ("kkt_tol", lambda v: v >= 0, "non-negative"),
                               ("delta", lambda v: 0 < v < 1, "in (0, 1)"),

@@ -73,11 +73,11 @@ class ThinSvd:
         return self.singular_values.size
 
 
-def thin_svd(M, rank_threshold: float = DEFAULT_RANK_THRESHOLD) -> ThinSvd:
+def thin_svd(M) -> ThinSvd:
     """Thin SVD with relative rank truncation.
 
-    Singular values <= rank_threshold * sigma_1 are dropped. A zero matrix
-    yields rank 0 with empty factors.
+    Singular values <= DEFAULT_RANK_THRESHOLD * sigma_1 are dropped. A zero
+    matrix yields rank 0 with empty factors.
 
     The short side of M (k = min(n, d)) is tried first: eigh of its k x k
     Gram matrix, a sparse product for sparse M, gives one factor, and M or
@@ -87,16 +87,14 @@ def thin_svd(M, rank_threshold: float = DEFAULT_RANK_THRESHOLD) -> ThinSvd:
     input gets the dense SVD.
     """
     check_matrix(M)
-    if rank_threshold <= 0:
-        raise ValueError("rank_threshold must be positive")
     if not is_sparse(M):
         M = np.asarray(M, dtype=float)
     n, d = M.shape
     F = _gram_svd(M) if n and d else None
     if F is None:
-        return _dense_svd(M, rank_threshold)
+        return _dense_svd(M)
     U, s, V = F
-    keep = s > rank_threshold * s[0]
+    keep = s > DEFAULT_RANK_THRESHOLD * s[0]
     return ThinSvd(U[:, keep], s[keep], V[:, keep], "gram")
 
 
@@ -118,7 +116,7 @@ def _gram_svd(M):
     return (W, s, other) if wide else (other, s, W)
 
 
-def _dense_svd(M, rank_threshold) -> ThinSvd:
+def _dense_svd(M) -> ThinSvd:
     if is_sparse(M):
         if M.shape[1] > DENSIFY_COLUMN_LIMIT:
             raise DataError(
@@ -131,7 +129,7 @@ def _dense_svd(M, rank_threshold) -> ThinSvd:
     if n == 0 or d == 0 or not M.any():
         return ThinSvd(np.zeros((n, 0)), np.zeros(0), np.zeros((d, 0)), "dense")
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    keep = s > rank_threshold * s[0]
+    keep = s > DEFAULT_RANK_THRESHOLD * s[0]
     return ThinSvd(U[:, keep], s[keep], Vt[keep].T, "dense")
 
 

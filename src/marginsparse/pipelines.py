@@ -44,6 +44,7 @@ from .svm import (SvmModel, _check_dual, _check_solver_params, _smo, error_rate,
 WEIGHTED_METHODS = ("bss", "leverage", "approx-bss")
 BASELINE_METHODS = ("uniform", "rrqr", "rfe")
 METHODS = WEIGHTED_METHODS + BASELINE_METHODS
+MODES = ("supervised", "unsupervised")
 
 # Relative slack verify_margin_bound allows every inequality for rounding.
 BOUND_SLACK = 1e-6
@@ -210,6 +211,11 @@ def _attempt(fn, *args, **kwargs):
         return exc
 
 
+def _check_mode(mode):
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
+
+
 def _check_method(method, mode=None):
     """Refuse an unknown method, and rfe in unsupervised mode."""
     if method not in METHODS:
@@ -312,6 +318,7 @@ def _select(data, mode, method, r, C, seed, *, t, chunk_fraction, kkt_tol,
     """One selection by the protocol, measured, with its margins.  In
     supervised mode margin_full is re-solved on the support vectors and
     margin_sampled_full_data on the sampled full data."""
+    _check_mode(mode)
     _check_method(method, mode)
     full_model, source, basis, fits = _protocol(
         data, mode, [method], [r], seed, C=C, t=t, chunk_fraction=chunk_fraction,
@@ -570,10 +577,11 @@ def cv_experiment(data: LabeledDataset, methods, r, folds: int = 10,
     a small fold runs: that BLAS would run on one thread too, and the
     counts put back could be the wrong ones.
 
-    C <= 0 or kkt_tol < 0 raise DataError, and an empty methods or a
-    method neither in METHODS nor "full" raises ValueError, before any fold
-    runs; a refusal that depends on a fold or a cell (rfe in unsupervised
-    mode among them) skips only those cells.
+    C or kkt_tol outside their ranges (nan among them) raise DataError, and
+    a mode not in MODES, an empty methods or a method neither in METHODS
+    nor "full" raise ValueError, before any fold runs; a refusal that
+    depends on a fold or a cell (rfe in unsupervised mode among them) skips
+    only those cells.
 
     The per-cell selection seed is derived from (seed, repeat, fold) with a
     seed sequence, as in a cell-at-a-time run, so cells are reproducible
@@ -582,6 +590,7 @@ def cv_experiment(data: LabeledDataset, methods, r, folds: int = 10,
     (method, r, repeat, fold), then the full cells by (repeat, fold).
     """
     _check_solver_params(C, kkt_tol)
+    _check_mode(mode)
     methods = [methods] if isinstance(methods, str) else list(methods)
     if not methods:
         raise ValueError("no method to cross-validate")
@@ -600,7 +609,10 @@ def cv_experiment(data: LabeledDataset, methods, r, folds: int = 10,
            chunk_fraction, kkt_tol)
     if workers <= 1:
         _cv_init(ctx)
-        per_fold = [_cv_fold(task) for task in tasks]
+        try:
+            per_fold = [_cv_fold(task) for task in tasks]
+        finally:
+            _cv_init(None)  # let go of the dataset
     else:
         with ProcessPoolExecutor(max_workers=workers, initializer=_cv_init,
                                  initargs=(ctx,)) as pool:
@@ -610,18 +622,24 @@ def cv_experiment(data: LabeledDataset, methods, r, folds: int = 10,
 
 
 def summarize_cv(cells):
-    """Aggregate cells into per-(method, r) mean/std error and skip counts."""
+    """Aggregate cells into per-(method, r) mean/std error and skip counts,
+    with the margins of the live cells and the (repeat, fold, reason) of the
+    skipped ones, each in the order the cells come in."""
     groups = {}
     for c in cells:
         groups.setdefault((c.method, c.r), []).append(c)
     out = {}
     for key, grp in sorted(groups.items(), key=lambda kv: (kv[0][0], kv[0][1] or 0)):
-        errs = np.array([c.error for c in grp if not c.skipped])
+        live = [c for c in grp if not c.skipped]
+        errs = np.array([c.error for c in live])
         out[key] = {
             "mean_error": float(errs.mean()) if errs.size else float("nan"),
             "std_error": float(errs.std()) if errs.size else float("nan"),
             "cells": len(grp),
-            "skipped": sum(c.skipped for c in grp),
+            "skipped": len(grp) - len(live),
+            "margins": [c.margin_sampled for c in live],
+            "skipped_cells": [{"repeat": c.repeat, "fold": c.fold, "reason": c.reason}
+                              for c in grp if c.skipped],
         }
     return out
 

@@ -49,10 +49,10 @@ def error_rate(model: SvmModel, data: LabeledDataset) -> float:
 
 
 def _check_solver_params(C: float, kkt_tol: float) -> None:
-    """Raise DataError unless C and kkt_tol are valid for any dual."""
-    if C <= 0:
+    """Raise DataError unless C and kkt_tol are valid for any dual; nan is not."""
+    if not C > 0:
         raise DataError("C must be positive")
-    if kkt_tol < 0:
+    if not kkt_tol >= 0:
         raise DataError("kkt_tol must be non-negative")
 
 

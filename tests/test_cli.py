@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -397,13 +398,13 @@ def test_cv_counts_below_their_minimum_are_usage_errors(
 
 
 
-@pytest.mark.parametrize("command", [
+_SOLVER_FLAG_COMMANDS = [
     ["select", "--features", "5"],
     ["cv", "--features", "5"],
     ["feature-freq", "--features", "5"],
     ["verify", "--bound", "margin", "--features", "5"],
-])
-@pytest.mark.parametrize("flag, value, rule", [
+]
+_SOLVER_FLAG_VALUES = [
     ("--C", "0", "positive"),
     ("--C", "-2", "positive"),
     ("--C", "nan", "positive"),
@@ -413,6 +414,15 @@ def test_cv_counts_below_their_minimum_are_usage_errors(
     ("--delta", "1.5", "in (0, 1)"),
     ("--chunk-fraction", "1", "in [0, 1)"),
     ("--chunk-fraction", "-0.1", "in [0, 1)"),
+]
+
+
+# cv and feature-freq compute no ball, so they take no --delta
+@pytest.mark.parametrize("command, flag, value, rule", [
+    pytest.param(command, flag, value, rule, id=f"{flag}-{value}-{rule}-command{i}")
+    for i, command in enumerate(_SOLVER_FLAG_COMMANDS)
+    for flag, value, rule in _SOLVER_FLAG_VALUES
+    if not (flag == "--delta" and command[0] in ("cv", "feature-freq"))
 ])
 def test_invalid_solver_flags_are_usage_errors(capsys, monkeypatch, lowrank_path,
                                                command, flag, value, rule):
@@ -424,6 +434,69 @@ def test_invalid_solver_flags_are_usage_errors(capsys, monkeypatch, lowrank_path
         cli.main([*command, "--data", lowrank_path, flag, value])
     assert exc.value.code == 2
     assert f"error: {flag} must be {rule}, got {float(value)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["cv", "feature-freq"])
+def test_delta_is_a_usage_error_where_no_ball_is_computed(
+        capsys, monkeypatch, lowrank_path, command):
+    def no_load(path):
+        raise AssertionError("the dataset was read")
+
+    monkeypatch.setattr(cli, "load_dataset", no_load)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--data", lowrank_path, "--delta", "0.5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --delta 0.5" in capsys.readouterr().err
+
+
+def test_cv_method_runs_the_method_it_names(capsys, lowrank_path):
+    # cv has no --method; argparse reads it as the unambiguous prefix of --methods
+    code, out = run_json(capsys, [
+        "cv", "--data", lowrank_path, "--method", "leverage", "--mode",
+        "unsupervised", "--features", "8", "--folds", "3", "--repeats", "1",
+    ])
+    assert code == 0, out.err
+    rows = json.loads(out.out)["results"]
+    assert [row["method"] for row in rows] == ["full", "leverage"]
+
+
+class _ReadRecorder(argparse.Namespace):
+    """A Namespace that records the name of every attribute read from it."""
+
+    def __init__(self, **kwargs):
+        object.__setattr__(self, "reads", set())
+        super().__init__(**kwargs)
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "reads").add(name)
+        return super().__getattribute__(name)
+
+
+@pytest.mark.parametrize("argv", [
+    ["select", "--features", "5"],
+    ["cv", "--features", "5", "--folds", "3", "--repeats", "1"],
+    ["verify", "--bound", "spectral", "--l", "2", "--d", "20", "--r", "8",
+     "--trials", "1"],
+    ["feature-freq", "--features", "5", "--folds", "3", "--repeats", "1"],
+])
+def test_every_declared_flag_is_read_by_its_handler(capsys, tmp_path, lowrank_path,
+                                                    argv):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    declared = {a.dest for a in sub.choices[argv[0]]._actions} - {"help"}
+    runs = [[*argv, "--data", lowrank_path]]
+    if argv[0] == "verify":  # --bound spectral reads no dataset
+        runs = [argv] + [["verify", "--bound", bound, "--data", lowrank_path,
+                          "--features", "5"] for bound in ("margin", "radius")]
+    read = set()
+    for run in runs:
+        args = parser.parse_args([*run, "--out", str(tmp_path / "out.json")],
+                                 namespace=_ReadRecorder())
+        args.reads.clear()
+        assert args.func(args) == 0
+        read |= args.reads
+    assert declared - read == set()
 
 
 def test_memory_error_is_a_data_error(capsys, monkeypatch, lowrank_path):

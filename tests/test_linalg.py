@@ -51,13 +51,14 @@ def test_thin_svd_reconstruction_sweep():
         assert np.all(np.diff(F.singular_values) <= 0)
 
 
-def test_thin_svd_truncates_tiny_singular_values():
+def test_thin_svd_truncates_tiny_singular_values(monkeypatch):
     rng = np.random.default_rng(5)
     U = np.linalg.qr(rng.standard_normal((8, 3)))[0]
     V = np.linalg.qr(rng.standard_normal((7, 3)))[0]
     M = U @ np.diag([5.0, 2.0, 5e-12]) @ V.T
     assert thin_svd(M).rank == 2
-    assert thin_svd(M, rank_threshold=1e-14).rank == 3
+    monkeypatch.setattr(linalg, "DEFAULT_RANK_THRESHOLD", 1e-14)
+    assert thin_svd(M).rank == 3
 
 
 def test_thin_svd_sparse_matches_dense():

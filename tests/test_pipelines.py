@@ -518,6 +518,13 @@ def test_cv_summary_counts():
             assert 0.0 <= stats["mean_error"] <= 1.0
             assert stats["std_error"] >= 0.0
     assert summary[("bss", 15)]["skipped"] + 8 >= 8
+    for (method, r), stats in summary.items():
+        grp = [c for c in cells if (c.method, c.r) == (method, r)]
+        assert stats["margins"] == [c.margin_sampled for c in grp if not c.skipped]
+        assert stats["skipped_cells"] == [
+            {"repeat": c.repeat, "fold": c.fold, "reason": c.reason}
+            for c in grp if c.skipped]
+        assert len(stats["margins"]) + len(stats["skipped_cells"]) == stats["cells"]
 
 
 def test_feature_frequencies_counts_are_bounded():
@@ -540,6 +547,8 @@ def no_fold(task):
     ({"C": 0.0}, "C must be positive"),
     ({"C": -2.0}, "C must be positive"),
     ({"kkt_tol": -1.0}, "kkt_tol must be non-negative"),
+    ({"C": math.nan}, "C must be positive"),
+    ({"kkt_tol": math.nan}, "kkt_tol must be non-negative"),
 ])
 def test_cv_invalid_solver_parameters_raise_before_any_fold(monkeypatch, kwargs, message):
     monkeypatch.setattr(pipelines, "_cv_fold", no_fold)
@@ -558,6 +567,34 @@ def test_cv_unknown_or_no_methods_raise_before_any_fold(monkeypatch, methods, me
     data = rank_limited(24, 10, rank=3, seed=18)
     with pytest.raises(ValueError, match=message):
         cv_experiment(data, methods, 5, folds=3, repeats=1)
+
+
+def test_unknown_mode_raises_before_any_fold_or_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an SVM was solved")
+
+    monkeypatch.setattr(pipelines, "_cv_fold", no_fold)
+    monkeypatch.setattr(pipelines, "solve_dual", no_solve)
+    data = rank_limited(24, 10, rank=3, seed=18)
+    with pytest.raises(ValueError, match="unknown mode 'Unsupervised'"):
+        cv_experiment(data, "rfe", 5, folds=3, repeats=1, mode="Unsupervised")
+    with pytest.raises(ValueError, match="unknown mode 'Unsupervised'"):
+        pipelines._select(data, "Unsupervised", "rfe", 5, 1.0, 0, t=None,
+                          chunk_fraction=0.1, kkt_tol=1e-4, meb_delta=1e-3)
+
+
+def test_serial_cv_lets_go_of_its_dataset(monkeypatch):
+    data = rank_limited(24, 10, rank=3, seed=18)
+    cv_experiment(data, "bss", 5, folds=3, repeats=1, mode="unsupervised")
+    assert pipelines._CV_CTX is None
+
+    def failing_fold(*args):
+        raise NumericalError("fold failed")
+
+    monkeypatch.setattr(pipelines, "_fold_cells", failing_fold)
+    with pytest.raises(NumericalError, match="fold failed"):
+        cv_experiment(data, "bss", 5, folds=3, repeats=1, mode="unsupervised")
+    assert pipelines._CV_CTX is None
 
 
 def test_cv_fold_sketches_once_for_every_approx_bss_r(monkeypatch):

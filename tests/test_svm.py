@@ -163,6 +163,17 @@ def test_negative_kkt_tol_rejected():
     assert solve_dual(two_point(), C=1.0, kkt_tol=0.0).converged
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"C": float("nan")}, "C must be positive"),
+    ({"kkt_tol": float("nan")}, "kkt_tol must be non-negative"),
+])
+def test_nan_solver_parameters_rejected(kwargs, message):
+    # nan fails every comparison: C=nan would "converge" in 0 steps with no
+    # support vectors, and kkt_tol=nan would run to the step cap.
+    with pytest.raises(DataError, match=message):
+        solve_dual(two_point(), **{"C": 1.0, **kwargs})
+
+
 def test_nonconvergence_is_flagged():
     data = random_dataset(60, 5, seed=6, scale=0.05)  # heavily overlapping
     m = solve_dual(data, C=100.0, kkt_tol=1e-10, max_passes=1)
