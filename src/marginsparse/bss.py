@@ -98,18 +98,16 @@ def _inverse_factor(M):
     return float(np.vdot(C, C))
 
 
-def _score(Vb, F, dphi_l, dphi_u):
+def _score(Vb, F, B, dphi_l, dphi_u):
     """Lower and upper scores of the rows Vb against F = [C_lo^-1 | C_hi^-1],
     with their acceptability and v'Q^2 v, v'Q v per half, from three GEMMs.
     Z = Vb F holds v'C^-1 per half: v'Qv = |v'C^-1|^2 and v'Q^2 v =
-    |v'C^-1 C^-T|^2, for Q = C^-1 C^-T."""
+    |v'C^-1 C^-T|^2, for Q = C^-1 C^-T.  The slabs of B are the halves of F
+    transposed, so one batched product against B forms both v'C^-1 C^-T."""
     ell = Vb.shape[1]
-    Z = Vb @ F
-    W = np.empty_like(Z)
-    np.matmul(Z[:, :ell], F[:, :ell].T, out=W[:, :ell])
-    np.matmul(Z[:, ell:], F[:, ell:].T, out=W[:, ell:])
-    Z, W = Z.reshape(-1, 2, ell), W.reshape(-1, 2, ell)
-    quad = np.einsum("ijk,ijk->ij", W, W)
+    Z = (Vb @ F).reshape(-1, 2, ell)
+    W = np.matmul(Z.transpose(1, 0, 2), B)
+    quad = np.einsum("jik,jik->ij", W, W)
     lin = np.einsum("ijk,ijk->ij", Z, Z)
     lsc = quad[:, 0] / dphi_l - lin[:, 0]
     usc = quad[:, 1] / dphi_u + lin[:, 1]
@@ -166,6 +164,10 @@ def bss_select(V, r: int, *, return_diagnostics: bool = False):
     # and inverted in place, so F = [C_lo^-1 | C_hi^-1].
     B = np.empty((2, ell, ell))
     F = B.reshape(2 * ell, ell).T
+    # B = (A, -A) * signs, then each slab's diagonal takes its shift.
+    signs = np.array([1.0, -1.0])[:, None, None]
+    diagonals = B.reshape(2, -1)[:, ::ell + 1]
+    shifts = np.empty((2, 1))
     indices = np.empty(r, dtype=np.intp)
     steps = np.empty(r)
     score_evals = 0
@@ -179,13 +181,12 @@ def bss_select(V, r: int, *, return_diagnostics: bool = False):
         L = tau - sqrt_rl
         U = delta_upper * (tau + sqrt_rl)
         # lambda_min > L + 1 > L exactly when A - (L+1) I has a factor.
-        np.copyto(B[0], A)
-        B[0].flat[::ell + 1] -= L + delta_lower
+        np.multiply(A, signs, out=B)
+        shifts[0], shifts[1] = -(L + delta_lower), U + delta_upper
+        diagonals += shifts
         tr_lo = _inverse_factor(B[0])
         if tr_lo is None:
             raise _spectrum_error(A, tau, L, U, lower_shift=True)
-        np.negative(A, out=B[1])
-        B[1].flat[::ell + 1] += U + delta_upper
         tr_hi = _inverse_factor(B[1])
         if tr_hi is None:
             raise _spectrum_error(A, tau, L, U)
@@ -202,18 +203,17 @@ def bss_select(V, r: int, *, return_diagnostics: bool = False):
         dphi_u = phi_u - tr_hi
 
         scored = []
-        pick = None
+        i = None  # the pick; k indexes it in the score arrays it came from
         # The first block holds the least power of two above the last
         # pick's offset (clamped); later blocks hold SCORE_BLOCK rows.
         start = n_taken
         size = min(max(1 << offset.bit_length(), _FIRST_BLOCK_MIN), SCORE_BLOCK)
         while start < d:
             rows = live[start:start + size]
-            lsc, usc, eligible, quad, lin = _score(V[rows], F, dphi_l, dphi_u)
+            lsc, usc, eligible, quad, lin = _score(V[rows], F, B, dphi_l, dphi_u)
             score_evals += rows.size
-            hits = np.flatnonzero(eligible)
-            if hits.size:
-                k = hits[0]
+            k = int(eligible.argmax())  # the first acceptable row, if any
+            if eligible[k]:
                 i = rows[k]
                 # Drop the pick from the untaken order in place: the
                 # untaken rows before it move back one slot, and it takes
@@ -223,20 +223,20 @@ def bss_select(V, r: int, *, return_diagnostics: bool = False):
                 live[n_taken] = i
                 offset = int(j - n_taken)
                 n_taken += 1
-                pick = i, lsc[k], usc[k], quad[k], lin[k]
                 break
             scored.append((lsc, usc, eligible, quad, lin))
             start += size
             size = SCORE_BLOCK
 
-        if pick is None:
+        if i is None:
             # No untaken row is acceptable: score the taken rows too, in
             # their own descending-norm order, and pick the first acceptable.
             is_taken = np.zeros(d, dtype=bool)
             is_taken[live[:n_taken]] = True
             rows = order[is_taken[order]]
             for start in range(0, n_taken, SCORE_BLOCK):
-                scored.append(_score(V[rows[start:start + SCORE_BLOCK]], F, dphi_l, dphi_u))
+                block = rows[start:start + SCORE_BLOCK]
+                scored.append(_score(V[block], F, B, dphi_l, dphi_u))
             score_evals += n_taken
             # All d rows, the untaken ones first.
             lsc, usc, eligible, quad, lin = (np.concatenate(a) for a in zip(*scored))
@@ -249,14 +249,15 @@ def bss_select(V, r: int, *, return_diagnostics: bool = False):
                     f"spectrum [{lam[0]:.9g}, {lam[-1]:.9g}], barriers ({L:.9g}, {U:.9g}))"
                 )
             k = np.flatnonzero(eligible)[0]  # allow re-selection
-            pick = rows[k - (d - n_taken)], lsc[k], usc[k], quad[k], lin[k]
+            i = rows[k - (d - n_taken)]
             reselections += 1
             offset = d - n_taken  # every untaken row was scored
-        i, l_i, u_i, (vq2_lo, vq2_hi), (vq_lo, vq_hi) = pick
+        l_i, u_i = lsc.item(k), usc.item(k)
+        (vq2_lo, vq2_hi), (vq_lo, vq_hi) = quad[k].tolist(), lin[k].tolist()
 
         t = 2.0 / (u_i + l_i)
         v = V[i]
-        A += t * np.outer(v, v)
+        A += t * np.multiply.outer(v, v)
         # Next step's potentials: its barriers are this step's shifted ones,
         # so tr (A + t v v' - (L+1) I)^-1 and tr ((U+dU) I - A - t v v')^-1.
         phi_l = tr_lo - t * vq2_lo / (1.0 + t * vq_lo)

@@ -28,6 +28,13 @@ from .pipelines import (METHODS, MODES, cv_experiment, feature_frequencies,
 
 SCHEMA = "margin-sparse/1"
 DEFAULT_R_GRID = (300, 400, 500)
+# The flags each verify --bound reads besides --bound; main refuses the rest.
+_VERIFY_FLAGS = {
+    "spectral": {"--l", "--d", "--r", "--trials", "--seed", "--out"},
+    "margin": {"--data", "--features", "--method", "--mode", "--C", "--seed", "--t",
+               "--chunk-fraction", "--kkt-tol", "--delta", "--out"},
+    "radius": {"--data", "--features", "--method", "--seed", "--t", "--delta", "--out"},
+}
 
 
 def _jsonify(obj):
@@ -244,7 +251,7 @@ def cmd_feature_freq(args):
 
 def _flag_sets():
     """The parent parsers whose flags the subcommands share, by name."""
-    sets = {name: argparse.ArgumentParser(add_help=False)
+    sets = {name: argparse.ArgumentParser(add_help=False, allow_abbrev=False)
             for name in ("data", "method", "solver", "ball", "grid")}
     sets["data"].add_argument("--data", required=True,
                               help="dataset path (svmlight or .csv)")
@@ -269,14 +276,16 @@ def _flag_sets():
 
 
 def build_parser():
+    # allow_abbrev=False throughout: a flag prefix is a usage error, so a
+    # flag a subcommand lacks cannot run as one it has.
     parser = argparse.ArgumentParser(
-        prog="marginsparse",
+        prog="marginsparse", allow_abbrev=False,
         description="Margin-preserving feature selection for linear SVMs.")
     sub = parser.add_subparsers(dest="command", required=True)
     sets = _flag_sets()
 
     def add(name, summary, *flag_sets):
-        return sub.add_parser(name, help=summary,
+        return sub.add_parser(name, help=summary, allow_abbrev=False,
                               parents=[sets[s] for s in flag_sets])
 
     p = add("select", "run one feature selection", "data", "method", "solver", "ball")
@@ -331,12 +340,20 @@ def _fail(code, kind, exc):
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
-    if getattr(args, "bound", None) in ("margin", "radius") and not args.data:
+    bound = getattr(args, "bound", None)
+    if bound is not None:
+        # Prefixes are off, so a given flag appears in argv under its name.
+        given = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
+        unread = sorted(given - _VERIFY_FLAGS[bound] - {"--bound"})
+        if unread:
+            parser.error(f"--bound {bound} does not read {', '.join(unread)}")
+    if bound in ("margin", "radius") and not args.data:
         parser.error("--data is required for margin/radius verification")
-    if getattr(args, "bound", None) in ("margin", "radius") and args.features is None:
+    if bound in ("margin", "radius") and args.features is None:
         parser.error("--features is required for margin/radius verification")
-    if getattr(args, "bound", None) == "spectral":
+    if bound == "spectral":
         # V is d x l with orthonormal columns, so l cannot exceed d.
         if not 1 <= args.l <= args.d:
             parser.error(f"--l must be between 1 and --d ({args.d}), got {args.l}")

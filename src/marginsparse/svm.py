@@ -71,17 +71,31 @@ def _smo(K, y, C, kkt_tol, max_steps, alpha0=None):
     alpha0 must be feasible: y'alpha0 = 0 and 0 <= alpha0 <= C.  Returns
     (alpha, converged, gap, steps) after at most max_steps pair updates.
     """
-    Kdiag = np.diag(K).copy()
+    n = y.size
+    Kdiag = np.diag(K)
+    # curv[i, j] = max(K_ii + K_jj - 2 K_ij, 1e-12), the curvature of the
+    # pair (i, j), formed once for every step to read row i.
+    curv = Kdiag[:, None] + Kdiag
+    curv -= 2.0 * K
+    np.maximum(curv, 1e-12, out=curv)
     if alpha0 is None:
-        alpha0 = np.zeros(y.size)
+        alpha0 = np.zeros(n)
     alpha = alpha0.tolist()
     neg_yg = y - K @ (y * alpha0)  # y_i - w.x_i
     pos = y > 0
     # up: alpha_i can rise along y_i (positives below C, negatives above 0);
-    # low: alpha_i can fall along y_i.
+    # low: alpha_i can fall along y_i.  Every point is on one side at least.
     up = np.where(pos, alpha0 < C, alpha0 > 0)
     low = np.where(pos, alpha0 > 0, alpha0 < C)
-    y_list, pos_list, Kdiag_list = y.tolist(), pos.tolist(), Kdiag.tolist()
+    # vals[0] is neg_yg on the up side and -inf off it, vals[1] neg_yg on
+    # the low side and +inf off it.  A step subtracts the same update from
+    # both, which leaves the infinities, so only the entries of i and j,
+    # whose sides can change, are reset.
+    vals = np.where([up, low], neg_yg, [[-np.inf], [np.inf]])
+    up_vals, low_vals = vals
+    up, low = up.tolist(), low.tolist()
+    y_list, pos_list = y.tolist(), pos.tolist()
+    viol, score, delta, buf = np.empty((4, n))
 
     converged = False
     gap = np.inf
@@ -90,29 +104,33 @@ def _smo(K, y, C, kkt_tol, max_steps, alpha0=None):
         # argmax/argmin return the first extreme index, as over an ascending
         # index gather.  neg_yg is finite, so a side is empty exactly when its
         # pick falls outside its mask.
-        i = int(np.where(up, neg_yg, -np.inf).argmax())
-        low_vals = np.where(low, neg_yg, np.inf)
+        i = int(up_vals.argmax())
         k = int(low_vals.argmin())
         if not (up[i] and low[k]):
             converged = True
             gap = 0.0
             break
-        m_val = float(neg_yg[i])
-        gap = m_val - float(low_vals[k])
+        m_val = up_vals.item(i)
+        gap = m_val - low_vals.item(k)
         if gap <= kkt_tol:
             converged = True
             break
         # Second-order partner: maximize (violation)^2 / curvature over the
-        # points on the low side that violate against i (viol = -inf off it).
-        # With kkt_tol >= 0, k is such a point, so a candidate always wins
-        # over the -inf scores.
-        viol = m_val - low_vals
-        Ki = K[i]
-        curv = np.maximum(Kdiag_list[i] + Kdiag - 2.0 * Ki, 1e-12)
-        j = int(np.where(viol > 0, viol * viol / curv, -np.inf).argmax())
+        # points on the low side that violate against i.  viol*|viol| is
+        # viol^2 on them and <= 0 off them (viol = -inf off the low side),
+        # so a positive best score is theirs; with kkt_tol >= 0, k is such a
+        # point.  Only when squares underflow is the mask needed.
+        np.subtract(m_val, low_vals, out=viol)
+        curv_i = curv[i]
+        np.abs(viol, out=score)
+        score *= viol
+        score /= curv_i
+        j = int(score.argmax())
+        if not score.item(j) > 0.0:
+            j = int(np.where(viol > 0, score, -np.inf).argmax())
 
         # Exact 2-variable solve along a + s(y_i e_i - y_j e_j).
-        s = float(viol[j]) / float(curv[j])
+        s = viol.item(j) / curv_i.item(j)
         s_max_i = (C - alpha[i]) if pos_list[i] else alpha[i]
         s_max_j = alpha[j] if pos_list[j] else (C - alpha[j])
         s = min(s, s_max_i, s_max_j)
@@ -120,13 +138,19 @@ def _smo(K, y, C, kkt_tol, max_steps, alpha0=None):
         dj = -y_list[j] * s
         alpha[i] = min(max(alpha[i] + di, 0.0), C)
         alpha[j] = min(max(alpha[j] + dj, 0.0), C)
-        # Keeps neg_yg = -y * (gradient of 1/2 a'Qa - 1'a) to the last bit:
-        # y = +-1, and sign flips commute with rounding.
-        neg_yg -= (y_list[i] * di) * Ki + (y_list[j] * dj) * K[j]
+        # neg_yg -= y_i di K_i + y_j dj K_j, which is s K_i - s K_j to the
+        # last bit: y = +-1, and sign flips commute with rounding.
+        np.multiply(K[i], s, out=delta)
+        np.multiply(K[j], s, out=buf)
+        delta -= buf
+        vals -= delta
         for t in (i, j):
+            v = up_vals.item(t) if up[t] else low_vals.item(t)
             below_c, above_0 = alpha[t] < C, alpha[t] > 0
             up[t] = below_c if pos_list[t] else above_0
             low[t] = above_0 if pos_list[t] else below_c
+            up_vals[t] = v if up[t] else -np.inf
+            low_vals[t] = v if low[t] else np.inf
         steps += 1
     return np.array(alpha, dtype=np.float64), converged, gap, steps
 

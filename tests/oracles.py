@@ -91,24 +91,29 @@ class SmoResult:
     steps: int
 
 
-def smo_reference(X, y, C, kkt_tol=1e-4, max_passes=None):
+def smo_reference(X, y, C, kkt_tol=1e-4, max_passes=None, alpha0=None, K=None):
     """The SMO loop with index gathers and a tracked gradient, one pair step
     at a time: the reference for the incremental loop in solve_dual.
 
     Same working-set rule (maximal violator i, second-order partner j over
     the low-side points violating against i), same two-variable solve, and
     the same w, b and objective afterwards; steps counts pair updates.
+    The steps start from alpha0, a feasible alpha (0 when None), and use
+    the Gram matrix K when given (an RFE path's downdated one) in place of
+    X X'.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = y.size
     if max_passes is None:
         max_passes = 10 * n
-    K = X @ X.T
+    if K is None:
+        K = X @ X.T
     Kdiag = np.diag(K).copy()
 
-    alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of 1/2 a'Qa - 1'a at a = 0
+    alpha = np.zeros(n) if alpha0 is None else np.array(alpha0, dtype=np.float64)
+    # gradient of 1/2 a'Qa - 1'a, which is -1 at a = 0
+    grad = y * (K @ (y * alpha)) - 1.0
     pos = y > 0
 
     converged = False

@@ -11,7 +11,8 @@ import pytest
 
 import marginsparse
 from marginsparse import cli
-from marginsparse.data import LabeledDataset, gen_synthetic, write_svmlight
+from marginsparse.data import LabeledDataset, gen_synthetic, load_dataset, write_svmlight
+from marginsparse.pipelines import select_geometry
 
 
 @pytest.fixture()
@@ -308,15 +309,34 @@ def test_verify_radius(capsys, lowrank_path):
 
 
 @pytest.mark.parametrize("method", ["bss", "leverage"])
-def test_verify_radius_selects_from_full_data_in_any_mode(capsys, lowrank_path, method):
-    argv = ["verify", "--bound", "radius", "--data", lowrank_path,
-            "--method", method, "--features", "20", "--seed", "4"]
-    docs = []
-    for mode in ([], ["--mode", "supervised"], ["--mode", "unsupervised"]):
-        code, out = run_json(capsys, argv + mode)
-        assert code == 0
-        docs.append(json.loads(out.out))
-    assert docs[0] == docs[1] == docs[2]
+def test_verify_radius_selects_from_full_data(capsys, lowrank_path, method):
+    code, out = run_json(capsys, ["verify", "--bound", "radius", "--data", lowrank_path,
+                                  "--method", method, "--features", "20", "--seed", "4"])
+    assert code == 0
+    doc = json.loads(out.out)
+    rep = select_geometry(load_dataset(lowrank_path), method, 20, 4)
+    assert doc["radius_full"] == rep.ball_full.radius
+    assert doc["radius_sampled"] == rep.ball_sampled.radius
+    assert doc["spectral_error"] == rep.spectral_error
+
+
+@pytest.mark.parametrize("bound, argv, unread", [
+    ("spectral", ["--l", "2", "--d", "20", "--r", "8", "--trials", "1",
+                  "--data", "/nonexistent.svm", "--method", "rfe"], "--data, --method"),
+    ("margin", ["--data", "/nonexistent.svm", "--features", "5", "--l", "2",
+                "--trials", "3"], "--l, --trials"),
+    ("radius", ["--data", "/nonexistent.svm", "--features", "5", "--mode=supervised",
+                "--C", "5", "--kkt-tol", "0.1", "--chunk-fraction", "0.2"],
+     "--C, --chunk-fraction, --kkt-tol, --mode"),
+])
+def test_verify_refuses_flags_its_bound_does_not_read(capsys, bound, argv, unread):
+    # refused before the (missing) dataset is read, which would exit 3
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--bound", bound, *argv])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"error: --bound {bound} does not read {unread}\n" in out.err
 
 
 @pytest.mark.parametrize("method", ["uniform", "rrqr"])
@@ -449,15 +469,18 @@ def test_delta_is_a_usage_error_where_no_ball_is_computed(
     assert "unrecognized arguments: --delta 0.5" in capsys.readouterr().err
 
 
-def test_cv_method_runs_the_method_it_names(capsys, lowrank_path):
-    # cv has no --method; argparse reads it as the unambiguous prefix of --methods
-    code, out = run_json(capsys, [
-        "cv", "--data", lowrank_path, "--method", "leverage", "--mode",
-        "unsupervised", "--features", "8", "--folds", "3", "--repeats", "1",
-    ])
-    assert code == 0, out.err
-    rows = json.loads(out.out)["results"]
-    assert [row["method"] for row in rows] == ["full", "leverage"]
+@pytest.mark.parametrize("argv", [
+    ["cv", "--method", "leverage", "--mode", "unsupervised", "--features", "8"],
+    ["select", "--feat", "5", "--meth", "bss"],
+])
+def test_flag_prefix_is_a_usage_error(capsys, lowrank_path, argv):
+    # No flag prefix is read as the flag it starts: cv has no --method, so
+    # it is not --methods, and --feat and --meth name no select flag.
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--data", lowrank_path])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "error:" in out.err
 
 
 class _ReadRecorder(argparse.Namespace):

@@ -215,6 +215,60 @@ def test_warm_start_from_feasible_alpha_converges(C):
 
 # ------------------------------------------- bitwise against the gather loop
 
+def _warm_cases():
+    """(X, y, K or None for X X', alpha0, solver kwargs) per warm start."""
+    cases = {}
+    data = gen_synthetic(30, 60, 6, seed=11)
+    X, y, n = data.X, data.y, data.n
+    K = X @ X.T
+    alpha, converged, _, _ = _smo(K, y, 1.0, 1e-4, 10 * n * n)
+    assert converged
+    dropped = np.arange(0, 60, 3)
+    K -= X[:, dropped] @ X[:, dropped].T  # an RFE round's cut
+    cases["rfe-downdate"] = (np.delete(X, dropped, axis=1), y, K, alpha, {"C": 1.0})
+    data = random_dataset(40, 6, seed=9, scale=0.3)
+    for C in (0.05, 1.0, 20.0):
+        v = np.random.default_rng(12).uniform(-0.5 * C, 1.5 * C, data.n)
+        a0 = project_dual_feasible(v, data.y, C)
+        cases[f"bounds-C{C:g}"] = (data.X, data.y, None, a0, {"C": C})
+    dup = random_dataset(20, 3, seed=7, scale=0.4)
+    X, y = np.vstack([dup.X, dup.X]), np.concatenate([dup.y, dup.y])
+    a0 = project_dual_feasible(np.random.default_rng(13).uniform(-5.0, 15.0, y.size), y, 10.0)
+    cases["duplicates"] = (X, y, None, a0, {"C": 10.0})
+    data = random_dataset(30, 5, seed=6, scale=0.2)
+    a0 = project_dual_feasible(np.random.default_rng(14).uniform(-0.5, 1.5, data.n), data.y, 1.0)
+    cases["kkt-tol-0"] = (data.X, data.y, None, a0,
+                          {"C": 1.0, "kkt_tol": 0.0, "max_passes": 2})
+    # Curvatures of 2e300 against violations near 2e-16 underflow every
+    # score to 0, and point 0 (i itself, no candidate) comes first: only the
+    # masked argmax finds the partner.
+    a, b = 1e-300 * (1 + 2**-52), 1e-300 * (1 - 2**-52)
+    cases["square-underflow"] = (1e150 * np.eye(4), np.array([1.0, -1.0, 1.0, -1.0]),
+                                 None, np.array([b, a, a, b]),
+                                 {"C": 1e-290, "kkt_tol": 0.0, "max_passes": 5})
+    return cases
+
+
+WARM_CASES = _warm_cases()
+
+
+@pytest.mark.parametrize("name", list(WARM_CASES))
+def test_warm_smo_matches_reference_loop(name):
+    X, y, K, a0, kwargs = WARM_CASES[name]
+    C, kkt_tol = kwargs["C"], kwargs.get("kkt_tol", 1e-4)
+    max_passes = kwargs.get("max_passes", 10 * y.size)
+    if name.startswith("bounds"):
+        assert np.any(a0 == 0.0) and np.any(a0 == C)
+    gram = X @ X.T if K is None else K
+    alpha, converged, gap, steps = _smo(gram, y, C, kkt_tol, max_passes * y.size, a0)
+    ref = smo_reference(X, y, C, kkt_tol, max_passes, alpha0=a0, K=K)
+    assert np.array_equal(alpha, ref.alpha)
+    assert (converged, gap, steps) == (ref.converged, ref.kkt_gap, ref.steps)
+    assert steps > 0
+    if "kkt_tol" in kwargs:
+        assert not converged  # only the step cap ends it
+
+
 def _reference_cases():
     cases = {}
     for shape, (n, d, k) in {"tall": (60, 12, 4), "wide": (30, 400, 8)}.items():
