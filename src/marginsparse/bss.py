@@ -50,7 +50,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import NumericalError
-from .linalg import check_matrix, require_orthonormal, row_norms_sq
+from .linalg import require_orthonormal, row_norms_sq
 from .operators import SamplingOperator
 
 # Relative slack when testing uscore <= lscore, so exact ties survive rounding.
@@ -82,6 +82,19 @@ class BssDiagnostics:
     score_evaluations: int
     step_sizes: np.ndarray
     reselections: int
+
+
+def _descending_order(x):
+    """Indices of x by descending value, equal values in ascending index
+    order: np.argsort(-x, kind="stable"), from a faster unstable sort whose
+    runs of equal values are then put in index order."""
+    order = np.argsort(-x)
+    tied = x[order[1:]] == x[order[:-1]]
+    if tied.any():
+        # Sort by (run, index): one key per row, so the sort need not be stable.
+        run = np.concatenate(([0], np.cumsum(~tied)))
+        order = np.sort(run * x.size + order) % x.size
+    return order
 
 
 def _inverse_factor(M):
@@ -133,15 +146,14 @@ def _spectrum_error(A, tau, L, U, lower_shift=False):
 
 
 def bss_select(V, r: int, *, return_diagnostics: bool = False):
-    """Select r weighted rows of an orthonormal-column V (d x ell).
+    """Select r weighted rows of an orthonormal-column V (d x ell), given as
+    an array or as a ThinSvd, whose carried orthonormality check is read.
 
     Returns a SamplingOperator R with exactly r selections (indices may
     repeat) such that all singular values of R^T V lie in
     [1 - sqrt(ell/r), 1 + sqrt(ell/r)].  Requires r > ell.  Deterministic.
     """
-    V = np.ascontiguousarray(np.asarray(V, dtype=np.float64))
-    check_matrix(V, name="V")
-    require_orthonormal(V, name="V")
+    V = np.ascontiguousarray(require_orthonormal(V, name="V"))
     d, ell = V.shape
     if r <= ell:
         raise ValueError(f"need r > ell, got r={r} with ell={ell}")
@@ -153,7 +165,7 @@ def bss_select(V, r: int, *, return_diagnostics: bool = False):
 
     # Stable sort: rows of equal norm keep ascending index order, so the
     # first eligible row in this order is the largest-norm, lowest-index one.
-    order = np.argsort(-row_norms_sq(V), kind="stable")
+    order = _descending_order(row_norms_sq(V))
     # live[n_taken:] holds the untaken rows in that order, live[:n_taken]
     # the taken ones in the order they were first picked.
     live = order.copy()

@@ -8,6 +8,7 @@ column.  Labels are strictly {-1, +1}.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,9 @@ class LabeledDataset:
         y = np.asarray(self.y, dtype=np.float64).ravel()
         if y.size != self.X.shape[0]:
             raise DataError(f"{y.size} labels for {self.X.shape[0]} rows")
-        if y.size and not np.all(np.isin(y, (-1.0, 1.0))):
-            bad = y[~np.isin(y, (-1.0, 1.0))][0]
+        valid = (y == 1.0) | (y == -1.0)
+        if not valid.all():
+            bad = y[~valid][0]
             raise DataError(f"labels must be -1 or +1, found {bad}")
         object.__setattr__(self, "y", y)
 
@@ -59,9 +61,8 @@ def parse_svmlight(text: str, n_features: int | None = None) -> LabeledDataset:
     within a line; in memory they become 0-based.  d is the largest index
     seen unless n_features overrides it.
     """
-    labels, rows, cols, vals = [], [], [], []
+    labels, counts, cols, vals = [], [], [], []
     max_idx = 0
-    row = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -84,18 +85,18 @@ def parse_svmlight(text: str, n_features: int | None = None) -> LabeledDataset:
                 raise DataError(f"line {lineno}: feature index {idx} is not 1-based")
             if idx <= prev:
                 raise DataError(f"line {lineno}: index {idx} not strictly increasing")
-            if not np.isfinite(val):
+            if not math.isfinite(val):
                 raise DataError(f"line {lineno}: non-finite value {val_s!r}")
             prev = idx
-            rows.append(row)
             cols.append(idx - 1)
             vals.append(val)
-            max_idx = max(max_idx, idx)
-        row += 1
+        counts.append(len(parts) - 1)
+        max_idx = max(max_idx, prev)  # a line's indices increase: prev is its largest
     d = max_idx if n_features is None else n_features
     if n_features is not None and max_idx > n_features:
         raise DataError(f"feature index {max_idx} exceeds declared dimension {n_features}")
-    X = sp.csr_matrix((vals, (rows, cols)), shape=(row, d))
+    rows = np.repeat(np.arange(len(counts)), counts)
+    X = sp.csr_matrix((vals, (rows, cols)), shape=(len(counts), d))
     return LabeledDataset(X, np.array(labels))
 
 

@@ -54,33 +54,41 @@ def meb_radius(X, delta: float = 1e-3) -> EnclosingBall:
     sq = np.einsum("ij,ij->i", P, P)
     G = P @ P.T
 
+    def dist2(Pc, cc):
+        """|p_i - c|^2 = |p_i|^2 - 2 p_i.c + c.c for every point, into d2."""
+        np.multiply(Pc, 2.0, out=d2)
+        np.subtract(sq, d2, out=d2)
+        return np.add(d2, cc, out=d2)
+
+    d2 = np.empty(n)
+    G_diag = G.diagonal().tolist()
     u = np.zeros(n)
     u[0] = 1.0
-    Pc, cc = G[0], float(G[0, 0])
+    Pc, cc = G[0].copy(), G.item(0, 0)
     slack = (1.0 + delta) ** 2
     max_iter = math.ceil(1.0 / delta**2)
     certified = False
     k = 0
     for k in range(1, max_iter + 1):
-        d2 = sq - 2.0 * Pc + cc
-        far = int(np.argmax(d2))
-        if d2[far] <= slack * (u @ sq - cc):
+        far = dist2(Pc, cc).argmax()
+        if d2.item(far) <= slack * (u @ sq - cc):
             c = u @ P
             Pc, cc = P @ c, float(c @ c)  # resync to the exact center
-            d2 = sq - 2.0 * Pc + cc
-            far = int(np.argmax(d2))
-            if d2[far] <= slack * (u @ sq - cc):
+            far = dist2(Pc, cc).argmax()
+            if d2.item(far) <= slack * (u @ sq - cc):
                 certified = True
                 break
         step = 1.0 / (k + 1.0)
         u *= 1.0 - step
         u[far] += step
-        cc = (1.0 - step) ** 2 * cc + step * (2.0 * (1.0 - step) * Pc[far] + step * G[far, far])
-        Pc = (1.0 - step) * Pc + step * G[far]
+        cc = (1.0 - step) ** 2 * cc + step * (2.0 * (1.0 - step) * Pc.item(far) + step * G_diag[far])
+        # Pc = (1 - step) Pc + step G[far], in place, with d2 as scratch.
+        Pc *= 1.0 - step
+        Pc += np.multiply(G[far], step, out=d2)
 
     if not certified:
         c = u @ P
-        d2 = sq - 2.0 * (P @ c) + c @ c
+        dist2(P @ c, c @ c)
     radius = float(math.sqrt(max(d2.max(), 0.0)))
     return EnclosingBall(center=c + shift, radius=radius, delta=delta,
                          iterations=k, certified=certified)

@@ -11,20 +11,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import check_matrix, require_orthonormal, row_norms_sq
+from .linalg import require_orthonormal, row_norms_sq
 from .operators import SamplingOperator
 
 
 def leverage_scores(V) -> np.ndarray:
     """The probability vector p_i = ||row i of V||^2 / ell of an
-    orthonormal-column V (d x ell)."""
-    V = np.asarray(V, dtype=np.float64)
-    check_matrix(V, name="V")
-    require_orthonormal(V, name="V")
-    ell = V.shape[1]
-    if ell == 0:
-        raise ValueError("V has no columns; leverage distribution undefined")
-    p = row_norms_sq(V) / ell
+    orthonormal-column V (d x ell), given as an array or as a ThinSvd, whose
+    carried orthonormality check is read."""
+    V = require_orthonormal(V, name="V")
+    p = row_norms_sq(V) / V.shape[1]
     # Row norms of orthonormal columns sum to ell exactly in real arithmetic;
     # absorb the last few ulps so downstream samplers see a clean simplex point.
     return p / p.sum()

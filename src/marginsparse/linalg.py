@@ -8,7 +8,7 @@ sets the BLAS thread count for the duration of a block.
 
 import contextlib
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,12 +61,29 @@ class ThinSvd:
     non-increasing; rho is the numerical rank.  path is "gram" when the
     factors came from the Gram matrix of the short side, "dense" when they
     came from LAPACK's SVD of the densified matrix.
+
+    gram is V^T V and defect is ||V^T V - I||_2 (inf when V^T V is not
+    finite): the basis's one orthonormality check, formed from V when the
+    ThinSvd is built.  V is held read-only, so they stay V's.  bss_select,
+    leverage_scores and spectral_error read them instead of forming V^T V
+    again.
     """
 
     U: np.ndarray
     singular_values: np.ndarray
     V: np.ndarray
     path: str
+    gram: np.ndarray = field(init=False, repr=False, compare=False)
+    defect: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        V = np.asarray(self.V, dtype=float).view()
+        V.flags.writeable = False
+        gram = V.T @ V
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "defect",
+                           _gram_defect(gram) if np.isfinite(gram).all() else np.inf)
 
     @property
     def rank(self) -> int:
@@ -91,29 +108,36 @@ def thin_svd(M) -> ThinSvd:
         M = np.asarray(M, dtype=float)
     n, d = M.shape
     F = _gram_svd(M) if n and d else None
-    if F is None:
-        return _dense_svd(M)
-    U, s, V = F
-    keep = s > DEFAULT_RANK_THRESHOLD * s[0]
-    return ThinSvd(U[:, keep], s[keep], V[:, keep], "gram")
+    return _dense_svd(M) if F is None else F
 
 
 def _gram_svd(M):
-    """(U, s, V) from the Gram matrix of M's short side, or None when that
-    Gram matrix is too ill-conditioned or the built factor not orthonormal."""
+    """The ThinSvd from the Gram matrix of M's short side, or None when that
+    Gram matrix is too ill-conditioned or the built factor not orthonormal.
+    On a wide M the built factor is V, and the ThinSvd's own check of V is
+    the test."""
     wide = M.shape[0] <= M.shape[1]
     A = M if wide else M.T  # k x m with k <= m
     G = A @ A.T
     G = G.toarray() if is_sparse(G) else G
     lam, W = np.linalg.eigh(G)
     lam, W = lam[::-1], W[:, ::-1]
+    # This ratio gate puts every sigma far above DEFAULT_RANK_THRESHOLD * sigma_1,
+    # so the route keeps all k of them.
     if not lam[-1] > GRAM_MIN_SIGMA_RATIO**2 * lam[0]:
         return None
     s = np.sqrt(lam)
-    other = np.asarray(A.T @ W) / s
+    AW = np.asarray(A.T @ W)
+    # Both factors are F-order, the layout they had as column gathers:
+    # leverage's row norms, and so its draws, follow V's layout.
+    other = np.divide(AW, s, out=np.empty((s.size, AW.shape[0])).T)
+    W = W.copy(order="F")
+    if wide:
+        F = ThinSvd(W, s, other, "gram")
+        return F if F.defect <= GRAM_MAX_DEFECT else None
     if orthonormality_defect(other) > GRAM_MAX_DEFECT:
         return None
-    return (W, s, other) if wide else (other, s, W)
+    return ThinSvd(other, s, W, "gram")
 
 
 def _dense_svd(M) -> ThinSvd:
@@ -136,12 +160,17 @@ def _dense_svd(M) -> ThinSvd:
 def spectral_error(V, indices, weights) -> float:
     """||V^T V - M^T M||_2 for M = R^T V, the rows V[indices] scaled by weights.
 
-    The difference is a symmetric ell x ell matrix, so its norm is the
-    largest absolute eigenvalue, read exactly by eigvalsh.
+    V is a ThinSvd, whose carried V^T V is used, or an array.  The
+    difference is a symmetric ell x ell matrix, so its norm is the largest
+    absolute eigenvalue, read exactly by eigvalsh.
     """
-    V = np.asarray(V, dtype=float)
+    if isinstance(V, ThinSvd):
+        V, gram = V.V, V.gram
+    else:
+        V = np.asarray(V, dtype=float)
+        gram = V.T @ V
     M = V[indices] * np.asarray(weights, dtype=float)[:, None]  # R^T V without the d x r R
-    lam = np.linalg.eigvalsh(V.T @ V - M.T @ M)
+    lam = np.linalg.eigvalsh(gram - M.T @ M)
     return float(max(-lam[0], lam[-1])) if lam.size else 0.0
 
 
@@ -158,19 +187,26 @@ def row_norms_sq(M) -> np.ndarray:
 def orthonormality_defect(V: np.ndarray) -> float:
     """Spectral norm of V^T V - I; small for orthonormal columns."""
     V = np.asarray(V, dtype=float)
-    G = V.T @ V
+    return _gram_defect(V.T @ V)
+
+
+def _gram_defect(G: np.ndarray) -> float:
+    """Spectral norm of G - I for a Gram matrix G = V^T V."""
     if G.size == 0:
         return 0.0
-    return float(np.abs(np.linalg.eigvalsh(G - np.eye(V.shape[1]))).max())
+    return float(np.abs(np.linalg.eigvalsh(G - np.eye(G.shape[0]))).max())
 
 
-def require_orthonormal(V: np.ndarray, tol: float = 1e-8, name: str = "V"):
-    V = np.asarray(V, dtype=float)
-    if V.ndim != 2:
-        raise DataError(f"{name} must be 2-D")
+def require_orthonormal(V, tol: float = 1e-8, name: str = "V") -> np.ndarray:
+    """The d x ell float array of the basis V, checked to be 2-D, finite, of
+    rank >= 1 and orthonormal to tol.  V is a ThinSvd, whose carried defect
+    is read, or an array, whose V^T V is formed here."""
+    svd = V if isinstance(V, ThinSvd) else None
+    V = np.asarray(V.V if svd else V, dtype=float)
+    check_matrix(V, name=name)
     if V.shape[1] == 0:
         raise DataError(f"{name} has no columns (rank 0 input)")
-    defect = orthonormality_defect(V)
+    defect = svd.defect if svd else orthonormality_defect(V)
     if defect > tol:
         raise NumericalError(
             f"{name} does not have orthonormal columns "

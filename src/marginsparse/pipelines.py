@@ -239,9 +239,10 @@ def _select_operators(method, source, basis, rs, seed, *, C, t, chunk_fraction,
                       kkt_tol) -> list:
     """Per r in rs, the operator, or the error that stopped that selection.
 
-    source is the dataset selected from; basis() returns the right singular
-    basis V of source.X, computed on first use.  rrqr and rfe run one QR or
-    one elimination path for all of rs, and approx-bss one sketch and its SVD.
+    source is the dataset selected from; basis() returns the ThinSvd of
+    source.X, whose V is its right singular basis, computed on first use.
+    rrqr and rfe run one QR or one elimination path for all of rs, and
+    approx-bss one sketch and its SVD.
     """
     if method == "rrqr":
         picks = _attempt(rrqr_select, source.X, rs)
@@ -256,7 +257,7 @@ def _select_operators(method, source, basis, rs, seed, *, C, t, chunk_fraction,
         picks = [_attempt(uniform_select, source.d, r, seed) for r in rs]
     else:
         if method == "approx-bss":
-            basis = functools.cache(lambda: thin_svd(gaussian_sketch(source.X, t, seed)).V)
+            basis = functools.cache(lambda: thin_svd(gaussian_sketch(source.X, t, seed)))
         select = ((lambda r: leverage_select(basis(), r, seed)) if method == "leverage"
                   else (lambda r: bss_select(basis(), r)))
         return [_attempt(select, r) for r in rs]
@@ -272,8 +273,8 @@ def _protocol(train, mode, methods, r_list, seed, *, C, t, chunk_fraction, kkt_t
     Solves the SVM on train, selects from the source (its support vectors
     in supervised mode, else train) for each method and r, and solves on
     each sampled source.  Returns the full-train model (or its error), the
-    source (or its error), basis() (source's right singular basis, computed
-    on first use) and, per method, for each r (op, the sampled source, the
+    source (or its error), basis() (the ThinSvd of source.X, computed on
+    first use) and, per method, for each r (op, the sampled source, the
     model solved on it) or the error that stopped that cell.
     """
     full_model = _attempt(solve_dual, train, C, kkt_tol)
@@ -282,7 +283,7 @@ def _protocol(train, mode, methods, r_list, seed, *, C, t, chunk_fraction, kkt_t
     else:
         source = (_attempt(_support_vector_set, train, full_model)
                   if mode == "supervised" else train)
-    basis = functools.cache(lambda: thin_svd(source.X).V)
+    basis = functools.cache(lambda: thin_svd(source.X))
 
     def fit(op):
         sampled = LabeledDataset(op.apply(source.X), source.y)
@@ -351,7 +352,7 @@ def select_geometry(data: LabeledDataset, method: str, r: int,
     report decides the radius bound and leaves the margin and ratio na.
     """
     _check_method(method, "unsupervised")
-    basis = functools.cache(lambda: thin_svd(data.X).V)
+    basis = functools.cache(lambda: thin_svd(data.X))
     [op] = _select_operators(method, data, basis, [r], seed, C=1.0, t=t,
                              chunk_fraction=0.1, kkt_tol=1e-4)
     if isinstance(op, Exception):

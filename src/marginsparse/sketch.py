@@ -29,7 +29,7 @@ def gaussian_sketch(X, t: int, seed: int) -> np.ndarray:
 
 def approx_bss_select(X, t: int, r: int, seed: int) -> SamplingOperator:
     """Deterministic selection on the right singular basis of a sketch of X:
-    bss_select(thin_svd(gaussian_sketch(X, t, seed)).V, r).  The working
+    bss_select(thin_svd(gaussian_sketch(X, t, seed)), r).  The working
     dimension ell is the numerical rank of GX, so r must exceed it.
     """
-    return bss_select(thin_svd(gaussian_sketch(X, t, seed)).V, r)
+    return bss_select(thin_svd(gaussian_sketch(X, t, seed)), r)

@@ -5,6 +5,9 @@ deliberately separate code paths (dense eigendecompositions, projected
 gradient, exhaustive enumeration, one-row-at-a-time barrier scores, the
 eigh-per-step BSS loop, the gather-based SMO loop, cold-started RFE rounds,
 LAPACK's dense SVD, the mat-vec ball loop) so agreement is meaningful.
+Two are earlier forms of package loops, kept to pin their rewrites bit
+for bit: the Gram-row ball loop with fresh temporaries and the
+token-at-a-time svmlight parser.
 The two fixtures at the end only read or build package records.
 """
 
@@ -13,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class BarrierHitError(ArithmeticError):
@@ -550,6 +554,94 @@ def meb_reference(X, delta=1e-3):
     radius = float(math.sqrt(max(d2.max(), 0.0)))
     return BallResult(center=c + shift, radius=radius, iterations=k,
                       certified=certified)
+
+
+def meb_gram_reference(X, delta=1e-3):
+    """The Gram-row ball loop as it stood before its buffers: a new d2 and
+    P c each iteration, scalars read by indexing.  meb_radius must match it
+    bit for bit."""
+    P = np.asarray(X, dtype=np.float64)
+    n = P.shape[0]
+    shift = P.mean(axis=0)
+    P = P - shift
+    sq = np.einsum("ij,ij->i", P, P)
+    G = P @ P.T
+
+    u = np.zeros(n)
+    u[0] = 1.0
+    Pc, cc = G[0], float(G[0, 0])
+    slack = (1.0 + delta) ** 2
+    max_iter = math.ceil(1.0 / delta**2)
+    certified = False
+    k = 0
+    for k in range(1, max_iter + 1):
+        d2 = sq - 2.0 * Pc + cc
+        far = int(np.argmax(d2))
+        if d2[far] <= slack * (u @ sq - cc):
+            c = u @ P
+            Pc, cc = P @ c, float(c @ c)
+            d2 = sq - 2.0 * Pc + cc
+            far = int(np.argmax(d2))
+            if d2[far] <= slack * (u @ sq - cc):
+                certified = True
+                break
+        step = 1.0 / (k + 1.0)
+        u *= 1.0 - step
+        u[far] += step
+        cc = (1.0 - step) ** 2 * cc + step * (2.0 * (1.0 - step) * Pc[far] + step * G[far, far])
+        Pc = (1.0 - step) * Pc + step * G[far]
+
+    if not certified:
+        c = u @ P
+        d2 = sq - 2.0 * (P @ c) + c @ c
+    radius = float(math.sqrt(max(d2.max(), 0.0)))
+    return BallResult(center=c + shift, radius=radius, iterations=k,
+                      certified=certified)
+
+
+def parse_svmlight_reference(text, n_features=None):
+    """The token-at-a-time svmlight loop as it stood before its trim: a
+    NumPy finiteness test and a running max per token, one row id appended
+    per token.  Returns (csr X, labels); a bad line raises ValueError with
+    the message parse_svmlight gives its DataError."""
+    labels, rows, cols, vals = [], [], [], []
+    max_idx = 0
+    row = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if parts[0] not in ("+1", "1", "-1"):
+            raise ValueError(f"line {lineno}: label must be +1 or -1, got {parts[0]!r}")
+        labels.append(1.0 if parts[0] in ("+1", "1") else -1.0)
+        prev = 0
+        for tok in parts[1:]:
+            idx_s, sep, val_s = tok.partition(":")
+            if not sep:
+                raise ValueError(f"line {lineno}: malformed feature {tok!r}")
+            try:
+                idx = int(idx_s)
+                val = float(val_s)
+            except ValueError:
+                raise ValueError(f"line {lineno}: malformed feature {tok!r}") from None
+            if idx < 1:
+                raise ValueError(f"line {lineno}: feature index {idx} is not 1-based")
+            if idx <= prev:
+                raise ValueError(f"line {lineno}: index {idx} not strictly increasing")
+            if not np.isfinite(val):
+                raise ValueError(f"line {lineno}: non-finite value {val_s!r}")
+            prev = idx
+            rows.append(row)
+            cols.append(idx - 1)
+            vals.append(val)
+            max_idx = max(max_idx, idx)
+        row += 1
+    d = max_idx if n_features is None else n_features
+    if n_features is not None and max_idx > n_features:
+        raise ValueError(f"feature index {max_idx} exceeds declared dimension {n_features}")
+    X = sp.csr_matrix((vals, (rows, cols)), shape=(row, d))
+    return X, np.array(labels)
 
 
 # -------------------------------------------------------------- fixtures

@@ -100,6 +100,32 @@ def test_barrier_state_update():
     np.testing.assert_array_equal(state.A, np.zeros((2, 2)))
 
 
+# ------------------------------------------------------------- scan order
+
+def _padded_row_norms(rng):
+    """Squared row norms of an orthonormal basis padded with zero rows."""
+    V = np.vstack([random_orthonormal(40, 5, 3), np.zeros((60, 5))])
+    return np.einsum("ij,ij->i", V, V)
+
+
+ORDER_CASES = {
+    "distinct": lambda rng: rng.random(20000),
+    "integer ties": lambda rng: rng.integers(0, 5, 3000).astype(float),
+    "all equal": lambda rng: np.zeros(500),
+    "zero tail": lambda rng: np.concatenate([rng.random(300), np.zeros(700)]),
+    "padded basis": _padded_row_norms,
+    "one": lambda rng: np.array([2.0]),
+}
+
+
+@pytest.mark.parametrize("case", ORDER_CASES)
+def test_descending_order_is_the_stable_argsort(case):
+    x = ORDER_CASES[case](np.random.default_rng(8))
+    order = bss._descending_order(x)
+    expected = np.argsort(-x, kind="stable")
+    assert order.dtype == expected.dtype and np.array_equal(order, expected)
+
+
 # -------------------------------------------------------------- bss_select
 
 def test_identity_embedding_selects_only_live_rows():

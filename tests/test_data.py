@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -18,6 +21,10 @@ from marginsparse.data import (
 )
 from marginsparse.errors import DataError
 from marginsparse.svm import error_rate, solve_dual
+from oracles import parse_svmlight_reference
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from textgen import techtc_like  # noqa: E402
 
 
 # ------------------------------------------------------------ LabeledDataset
@@ -30,6 +37,18 @@ def test_dataset_validation():
     ds = LabeledDataset(np.zeros((2, 3)), np.array([1, -1]))
     assert ds.n == 2 and ds.d == 3 and ds.has_both_classes
     assert not LabeledDataset(np.zeros((1, 3)), np.array([1.0])).has_both_classes
+
+
+@pytest.mark.parametrize("y, shown", [
+    ([1.0, -1.0, 2.0, 0.0], "2.0"),
+    ([1.0, np.nan, 0.0], "nan"),
+    ([-1.0, 1.0, -np.inf, np.nan], "-inf"),
+    ([0.0], "0.0"),
+])
+def test_label_error_names_the_first_bad_label(y, shown):
+    with pytest.raises(DataError) as err:
+        LabeledDataset(np.zeros((len(y), 2)), np.array(y))
+    assert str(err.value) == f"labels must be -1 or +1, found {shown}"
 
 
 def test_subset_keeps_order():
@@ -106,6 +125,75 @@ def test_svmlight_round_trip_random(data):
     again = parse_svmlight(write_svmlight(ds), n_features=d)
     np.testing.assert_array_equal(again.y, ds.y)
     np.testing.assert_array_equal(again.dense(), dense)
+
+
+def assert_parses_like_reference(text, n_features=None):
+    """parse_svmlight gives the reference loop's CSR arrays, shape and
+    labels exactly, or the same error message."""
+    try:
+        X_ref, y_ref = parse_svmlight_reference(text, n_features)
+    except ValueError as ref_err:
+        with pytest.raises(DataError) as err:
+            parse_svmlight(text, n_features)
+        assert str(err.value) == str(ref_err)
+        return
+    ds = parse_svmlight(text, n_features)
+    assert ds.X.shape == X_ref.shape
+    for name in ("data", "indices", "indptr"):
+        got, ref = getattr(ds.X, name), getattr(X_ref, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert np.array_equal(ds.y, y_ref)
+
+
+def test_parse_svmlight_matches_reference_on_the_text_corpus():
+    for n, d, tokens, seed in ((100, 4000, 60, 0), (40, 500, 30, 3)):
+        text = write_svmlight(techtc_like(n, d, tokens, seed=seed))
+        assert_parses_like_reference(text)
+        assert_parses_like_reference(text.replace("\n", "\r\n"))
+
+
+@pytest.mark.parametrize("text", [
+    "", "\n\n", "  \t \n", "+1 1:2\n   \n\t\n-1 3:1\n",
+    "+1\t1:0.5\t\t4:2\r\n-1  2:1e-300\r\n", "-1\n+1\n",
+    "+1 1:1\n+1 2:inf\n", "+1 1:1 1:2", "+1 1:2:3", "+1 x:1", "+1 0:1",
+    "+1 3:1 2:1", "2 1:1", "+1 3", "+1 1:-0.0 2:1e308",
+])
+def test_parse_svmlight_matches_reference_on_edge_cases(text):
+    assert_parses_like_reference(text)
+    assert_parses_like_reference(text, n_features=2)
+
+
+TOKENS = st.one_of(
+    st.builds(lambda i, v: f"{i}:{v!r}", st.integers(-1, 12),
+              st.floats(allow_nan=True, allow_infinity=True)),
+    st.sampled_from(["3", "a:1", "1:b", "1:2:3", ":", "4:", "+5:1", "1_0:2"]),
+)
+LINES = st.builds(
+    lambda label, toks, sep, tail: label + "".join(sep + t for t in toks) + tail,
+    st.sampled_from(["+1", "1", "-1", "-1", "0", "+2", "", " "]),
+    st.lists(TOKENS, max_size=6), st.sampled_from([" ", "\t", "  "]),
+    st.sampled_from(["", " ", "\t"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(LINES, max_size=8), st.sampled_from(["\n", "\r\n"]),
+       st.one_of(st.none(), st.integers(0, 14)))
+def test_parse_svmlight_matches_reference_on_random_text(lines, eol, n_features):
+    assert_parses_like_reference(eol.join(lines), n_features)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.integers(1, 3), st.floats(-1e6, 1e6)),
+                         max_size=5), min_size=1, max_size=6))
+def test_parse_svmlight_matches_reference_on_valid_random_rows(rows):
+    # Increasing indices from positive gaps, so every line parses.
+    lines = []
+    for i, feats in enumerate(rows):
+        idx = np.cumsum([g for g, _ in feats]).tolist()
+        lines.append(" ".join(["+1" if i % 2 else "-1"]
+                              + [f"{j}:{v!r}" for j, (_, v) in zip(idx, feats)]))
+    assert_parses_like_reference("\n".join(lines))
 
 
 # ---------------------------------------------------------------------- CSV

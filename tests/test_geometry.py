@@ -11,7 +11,7 @@ from marginsparse.linalg import spectral_error, thin_svd
 from marginsparse.pipelines import SelectionReport, select_geometry, verify_margin_bound
 
 from oracles import (eig_spectral_norm, exhaustive_meb, identity_operator,
-                     meb_reference, svd_reference)
+                     meb_gram_reference, meb_reference, svd_reference)
 
 
 def test_two_point_ball():
@@ -85,6 +85,30 @@ def test_meb_radius_matches_reference_loop(case):
     assert (ball.iterations, ball.certified) == (ref.iterations, ref.certified)
     assert ball.radius == pytest.approx(ref.radius, rel=1e-12, abs=0.0)
     assert np.linalg.norm(ball.center - ref.center) <= 1e-12 * np.linalg.norm(ref.center)
+
+
+GRAM_LOOP_CASES = {
+    **{f"random {seed}": (lambda seed=seed: np.random.default_rng(seed).standard_normal((25, 6)), 1e-3)
+       for seed in range(10)},
+    "20x20000": (lambda: gen_synthetic(20, 20000, 40, seed=20).X, 1e-3),
+    "duplicates": (lambda: np.repeat(np.random.default_rng(3).standard_normal((6, 3)), 3, axis=0), 1e-3),
+    "one point": (lambda: np.array([[3.0, -1.0, 2.0]]), 1e-3),
+    # delta near 1 caps the loop after ceil(1/delta^2) = 2 or 3 iterations.
+    "capped triangle": (lambda: np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.99]]), 0.9),
+    "capped 100x5": (lambda: np.random.default_rng(20).standard_normal((100, 5)), 0.7),
+}
+
+
+@pytest.mark.parametrize("case", GRAM_LOOP_CASES)
+def test_meb_radius_matches_the_gram_row_loop_bitwise(case):
+    build, delta = GRAM_LOOP_CASES[case]
+    P = build()
+    ball, ref = meb_radius(P, delta), meb_gram_reference(P, delta)
+    assert np.array_equal(ball.center, ref.center)
+    assert ball.radius == ref.radius
+    assert (ball.iterations, ball.certified) == (ref.iterations, ref.certified)
+    if case.startswith("capped"):
+        assert not ball.certified and ball.iterations == math.ceil(1.0 / delta**2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -3,8 +3,10 @@ import pytest
 import scipy.sparse as sp
 
 import marginsparse.linalg as linalg
+from marginsparse.bss import bss_select
 from marginsparse.errors import DataError, NumericalError
-from marginsparse.linalg import (orthonormality_defect, require_orthonormal,
+from marginsparse.leverage import leverage_scores, leverage_select
+from marginsparse.linalg import (ThinSvd, orthonormality_defect, require_orthonormal,
                                  row_norms_sq, spectral_error, thin_svd)
 from oracles import eig_spectral_norm, reconstruct, svd_reference
 from test_acceptance import _rank10_data
@@ -170,3 +172,78 @@ def test_require_orthonormal():
     require_orthonormal(Q)  # no raise
     with pytest.raises(NumericalError):
         require_orthonormal(2.0 * Q)
+
+
+# ------------------------------------- one orthonormality check per basis
+
+BASIS_CASES = {
+    "wide gram": (lambda: np.random.default_rng(50).standard_normal((20, 300)), "gram"),
+    "tall gram": (lambda: np.random.default_rng(51).standard_normal((300, 20)), "gram"),
+    "dense": (lambda: _rank10_data(0).X, "dense"),
+    "sparse input": (lambda: sp.random(30, 500, density=0.1, format="csr",
+                                       random_state=52), "gram"),
+}
+
+
+@pytest.mark.parametrize("case", BASIS_CASES)
+def test_selectors_on_a_thin_svd_equal_the_calls_on_its_v(case, monkeypatch):
+    build, path = BASIS_CASES[case]
+    F = thin_svd(build())
+    assert F.path == path
+    # The carried check is V's own Gram and defect, formed on V itself.
+    assert np.array_equal(F.gram, F.V.T @ F.V)
+    assert F.defect == orthonormality_defect(F.V)
+    r = 3 * F.rank
+    bss_ref, lev_ref = bss_select(F.V, r), leverage_select(F.V, r, seed=5)
+    err_ref = spectral_error(F.V, bss_ref.indices, bss_ref.weights)
+    lev_err_ref = spectral_error(F.V, lev_ref.indices, lev_ref.weights)
+    p_ref = leverage_scores(F.V)
+
+    def refuse(V):
+        raise AssertionError("V^T V formed again")
+
+    monkeypatch.setattr(linalg, "orthonormality_defect", refuse)
+    bss, lev = bss_select(F, r), leverage_select(F, r, seed=5)
+    assert np.array_equal(bss.indices, bss_ref.indices)
+    assert np.array_equal(bss.weights, bss_ref.weights)
+    assert np.array_equal(lev.indices, lev_ref.indices)
+    assert np.array_equal(lev.weights, lev_ref.weights)
+    assert np.array_equal(leverage_scores(F), p_ref)
+    assert spectral_error(F, bss.indices, bss.weights) == err_ref
+    assert spectral_error(F, lev.indices, lev.weights) == lev_err_ref
+
+
+def test_a_thin_svd_built_by_hand_checks_its_own_v():
+    F = thin_svd(np.random.default_rng(54).standard_normal((10, 40)))
+    G = ThinSvd(F.U, F.singular_values, F.V, F.path)
+    assert np.array_equal(G.gram, F.gram) and G.defect == F.defect
+    # V is read-only, so its carried Gram and defect cannot go stale.
+    with pytest.raises(ValueError):
+        F.V[0, 0] = 1.0
+    # A V^T V that is not finite leaves no defect to measure.
+    assert ThinSvd(F.U, F.singular_values, np.full((40, 10), np.nan), F.path).defect == np.inf
+
+
+def test_a_non_orthonormal_thin_svd_raises_the_array_error():
+    F = thin_svd(np.random.default_rng(53).standard_normal((10, 40)))
+    V = 2.0 * F.V
+    bad = ThinSvd(F.U, F.singular_values, V, F.path)
+    for select in (lambda B: bss_select(B, 30), lambda B: leverage_select(B, 30, seed=1),
+                   leverage_scores, require_orthonormal):
+        with pytest.raises(NumericalError) as from_svd:
+            select(bad)
+        with pytest.raises(NumericalError) as from_array:
+            select(V)
+        assert "does not have orthonormal columns" in str(from_svd.value)
+        assert str(from_svd.value) == str(from_array.value)
+
+
+def test_a_rank_zero_thin_svd_raises_the_array_error():
+    F = thin_svd(np.zeros((3, 4)))
+    assert F.rank == 0 and F.gram.shape == (0, 0) and F.defect == 0.0
+    for select in (lambda B: bss_select(B, 3), lambda B: leverage_select(B, 3, seed=1)):
+        with pytest.raises(DataError, match="no columns") as from_svd:
+            select(F)
+        with pytest.raises(DataError) as from_array:
+            select(F.V)
+        assert str(from_svd.value) == str(from_array.value)

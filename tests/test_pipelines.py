@@ -363,6 +363,48 @@ def test_a_cv_fold_solves_once_plus_once_per_selecting_cell(monkeypatch):
     selecting = sum(c.method != "full" for c in cells)
     assert counts == {"solve_dual": 2 + selecting, "thin_svd": 2, "meb_radius": 0}
 
+def count_gram_checks(monkeypatch):
+    """Orthonormality checks, each of which forms one V^T V, counted as
+    they run, and the bases pipelines hands to spectral_error."""
+    counts, handed = {"checks": 0}, []
+
+    def check(G, _real=linalg._gram_defect):
+        counts["checks"] += 1
+        return _real(G)
+
+    def error(V, *args, _real=pipelines.spectral_error):
+        handed.append(V)
+        return _real(V, *args)
+
+    monkeypatch.setattr(linalg, "_gram_defect", check)
+    monkeypatch.setattr(pipelines, "spectral_error", error)
+    return counts, handed
+
+
+@pytest.mark.parametrize("mode", ["supervised", "unsupervised"])
+@pytest.mark.parametrize("method", ["bss", "leverage", "approx-bss"])
+def test_one_select_forms_each_basis_gram_once(monkeypatch, mode, method):
+    # Every basis here is a wide Gram-route one, whose single check is on
+    # V itself: thin_svd forms V^T V once, the selector reads the defect
+    # and spectral_error the Gram that the ThinSvd carries.  approx-bss
+    # selects on the sketch's basis and measures on the source's: two.
+    counts, handed = count_gram_checks(monkeypatch)
+    svds = count_calls(monkeypatch, "thin_svd")
+    select = supervised_select if mode == "supervised" else unsupervised_select
+    select(gen_synthetic(60, 300, 10), method, 80, seed=7, t=30)
+    assert svds["thin_svd"] == (2 if method == "approx-bss" else 1)
+    assert counts["checks"] == svds["thin_svd"]
+    assert len(handed) == 1 and isinstance(handed[0], linalg.ThinSvd)
+
+
+def test_a_cv_fold_forms_its_basis_gram_once(monkeypatch):
+    counts, _ = count_gram_checks(monkeypatch)
+    cells = cv_experiment(gen_synthetic(60, 300, 10), ("bss", "leverage"), (40, 50),
+                          folds=2, repeats=1, seed=1)
+    assert not any(c.skipped for c in cells)
+    assert counts["checks"] == 2  # one basis per fold, four selections on each
+
+
 # ------------------------------------------------------------ verify bounds
 
 def fake_ball(radius, certified=True):

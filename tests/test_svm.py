@@ -223,6 +223,8 @@ def _warm_cases():
     K = X @ X.T
     alpha, converged, _, _ = _smo(K, y, 1.0, 1e-4, 10 * n * n)
     assert converged
+    # Warm from its own answer: converged before any step.
+    cases["converged"] = (X, y, K.copy(), alpha, {"C": 1.0})
     dropped = np.arange(0, 60, 3)
     K -= X[:, dropped] @ X[:, dropped].T  # an RFE round's cut
     cases["rfe-downdate"] = (np.delete(X, dropped, axis=1), y, K, alpha, {"C": 1.0})
@@ -264,7 +266,7 @@ def test_warm_smo_matches_reference_loop(name):
     ref = smo_reference(X, y, C, kkt_tol, max_passes, alpha0=a0, K=K)
     assert np.array_equal(alpha, ref.alpha)
     assert (converged, gap, steps) == (ref.converged, ref.kkt_gap, ref.steps)
-    assert steps > 0
+    assert (steps == 0) == (name == "converged")
     if "kkt_tol" in kwargs:
         assert not converged  # only the step cap ends it
 
