@@ -50,7 +50,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import NumericalError
-from .linalg import require_orthonormal, row_norms_sq
+from .linalg import _row_norms_sq, require_orthonormal
 from .operators import SamplingOperator
 
 # Relative slack when testing uscore <= lscore, so exact ties survive rounding.
@@ -153,7 +153,7 @@ def bss_select(V, r: int, *, return_diagnostics: bool = False):
     repeat) such that all singular values of R^T V lie in
     [1 - sqrt(ell/r), 1 + sqrt(ell/r)].  Requires r > ell.  Deterministic.
     """
-    V = np.ascontiguousarray(require_orthonormal(V, name="V"))
+    V = require_orthonormal(V, name="V")
     d, ell = V.shape
     if r <= ell:
         raise ValueError(f"need r > ell, got r={r} with ell={ell}")
@@ -165,7 +165,7 @@ def bss_select(V, r: int, *, return_diagnostics: bool = False):
 
     # Stable sort: rows of equal norm keep ascending index order, so the
     # first eligible row in this order is the largest-norm, lowest-index one.
-    order = _descending_order(row_norms_sq(V))
+    order = _descending_order(_row_norms_sq(V))
     # live[n_taken:] holds the untaken rows in that order, live[:n_taken]
     # the taken ones in the order they were first picked.
     live = order.copy()

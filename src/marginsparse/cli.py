@@ -21,6 +21,7 @@ import numpy as np
 from .errors import DataError, NumericalError
 from .bss import bss_select
 from .data import gen_synthetic, load_dataset, write_svmlight
+from .geometry import MIN_DELTA
 from .linalg import spectral_error
 from .pipelines import (METHODS, MODES, cv_experiment, feature_frequencies,
                         select_geometry, summarize_cv, supervised_select,
@@ -267,7 +268,8 @@ def _flag_sets():
     p.add_argument("--kkt-tol", dest="kkt_tol", type=float, default=1e-4)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     sets["ball"].add_argument("--delta", type=float, default=1e-3,
-                              help="enclosing-ball approximation parameter")
+                              help="enclosing-ball approximation parameter, "
+                                   f"in [{MIN_DELTA:g}, 1)")
     p = sets["grid"]
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--repeats", type=int, default=10)
@@ -368,6 +370,7 @@ def main(argv=None) -> int:
     for flag, valid, span in (("C", lambda v: v > 0, "positive"),
                               ("kkt_tol", lambda v: v >= 0, "non-negative"),
                               ("delta", lambda v: 0 < v < 1, "in (0, 1)"),
+                              ("delta", lambda v: v >= MIN_DELTA, f"at least {MIN_DELTA:g}"),
                               ("chunk_fraction", lambda v: 0 <= v < 1, "in [0, 1)")):
         value = getattr(args, flag, None)
         if value is not None and not valid(value):

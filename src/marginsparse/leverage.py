@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import require_orthonormal, row_norms_sq
+from .linalg import _row_norms_sq, require_orthonormal
 from .operators import SamplingOperator
 
 
@@ -20,7 +20,7 @@ def leverage_scores(V) -> np.ndarray:
     orthonormal-column V (d x ell), given as an array or as a ThinSvd, whose
     carried orthonormality check is read."""
     V = require_orthonormal(V, name="V")
-    p = row_norms_sq(V) / V.shape[1]
+    p = _row_norms_sq(V) / V.shape[1]
     # Row norms of orthonormal columns sum to ell exactly in real arithmetic;
     # absorb the last few ulps so downstream samplers see a clean simplex point.
     return p / p.sum()

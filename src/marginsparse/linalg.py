@@ -180,7 +180,12 @@ def row_norms_sq(M) -> np.ndarray:
     if is_sparse(M):
         out = np.asarray(M.multiply(M).sum(axis=1)).ravel()
         return out.astype(float)
-    M = np.asarray(M, dtype=float)
+    return _row_norms_sq(np.asarray(M, dtype=float))
+
+
+def _row_norms_sq(M: np.ndarray) -> np.ndarray:
+    """row_norms_sq of a dense float M already checked, such as the array
+    require_orthonormal returns; the sum follows M's memory layout."""
     return np.einsum("ij,ij->i", M, M)
 
 
@@ -200,10 +205,15 @@ def _gram_defect(G: np.ndarray) -> float:
 def require_orthonormal(V, tol: float = 1e-8, name: str = "V") -> np.ndarray:
     """The d x ell float array of the basis V, checked to be 2-D, finite, of
     rank >= 1 and orthonormal to tol.  V is a ThinSvd, whose carried defect
-    is read, or an array, whose V^T V is formed here."""
+    is read, or an array, whose V^T V is formed here.
+
+    A ThinSvd's V is not scanned for non-finite values when its defect is
+    finite: a non-finite entry would make its column's diagonal of V^T V,
+    and so the defect, inf or nan."""
     svd = V if isinstance(V, ThinSvd) else None
     V = np.asarray(V.V if svd else V, dtype=float)
-    check_matrix(V, name=name)
+    if svd is None or not np.isfinite(svd.defect):
+        check_matrix(V, name=name)
     if V.shape[1] == 0:
         raise DataError(f"{name} has no columns (rank 0 input)")
     defect = svd.defect if svd else orthonormality_defect(V)

@@ -7,13 +7,15 @@ standard-normal G preserves the row space of X almost surely, so running
 the selector on the right singular vectors of GX is a cheap stand-in for
 running it on those of X.  G is left unscaled: a 1/sqrt(t) factor would
 only rescale the singular values, not the right singular vectors.
+A sparse X is never densified: G X is formed as the sparse product
+(X^T G^T)^T.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import check_matrix, thin_svd, to_dense
+from .linalg import check_matrix, is_sparse, thin_svd
 from .bss import bss_select
 from .operators import SamplingOperator
 
@@ -24,7 +26,9 @@ def gaussian_sketch(X, t: int, seed: int) -> np.ndarray:
         raise ValueError("sketch needs at least one row")
     check_matrix(X, name="X")
     G = np.random.default_rng(seed).standard_normal((t, X.shape[0]))
-    return np.asarray(G @ to_dense(X))
+    if is_sparse(X):
+        return np.asarray(X.T @ G.T).T
+    return G @ np.asarray(X, dtype=float)
 
 
 def approx_bss_select(X, t: int, r: int, seed: int) -> SamplingOperator:

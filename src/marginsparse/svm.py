@@ -8,6 +8,11 @@ solves the two-variable subproblem exactly, which preserves y'a = 0 by
 construction.  Stops when the violation gap m(a) - M(a) drops below
 kkt_tol, at which point every point's KKT residual (with the bias chosen
 inside [M, m]) is at most kkt_tol.
+
+Sparse (CSR) X stays sparse: the kernel K = X X' is one sparse product
+made dense (n x n), and w = X'(y*a) and X w are sparse products too, so no
+dense n x d copy is made.  Dense X keeps the dense products X X', X'(y*a)
+and X w.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from .errors import DataError
 from .data import LabeledDataset
-from .linalg import to_dense
+from .linalg import is_sparse
 
 SV_THRESHOLD_REL = 1e-6  # alpha > 1e-6 * C counts as a support vector
 
@@ -163,9 +168,14 @@ def solve_dual(data: LabeledDataset, C: float = 1.0, kkt_tol: float = 1e-4,
     if max_passes is None:
         max_passes = 10 * n
 
-    X = to_dense(data.X)
-    y = data.y
-    alpha, converged, gap, steps = _smo(X @ X.T, y, C, kkt_tol, max_passes * n)
+    X, y = data.X, data.y
+    if is_sparse(X):
+        X = X.astype(np.float64, copy=False)
+        K = (X @ X.T).toarray()
+    else:
+        X = np.asarray(X, dtype=np.float64)
+        K = X @ X.T
+    alpha, converged, gap, steps = _smo(K, y, C, kkt_tol, max_passes * n)
 
     w = X.T @ (y * alpha)
     neg_yg = y - X @ w  # recomputed exactly: y_i - w.x_i

@@ -556,16 +556,20 @@ def meb_reference(X, delta=1e-3):
                       certified=certified)
 
 
-def meb_gram_reference(X, delta=1e-3):
+def meb_gram_reference(X, delta=1e-3, loosen=0.0):
     """The Gram-row ball loop as it stood before its buffers: a new d2 and
     P c each iteration, scalars read by indexing.  meb_radius must match it
-    bit for bit."""
+    bit for bit.  loosen > 0 subtracts loosen * max |p_i|^2 from every entry
+    of the Gram matrix the loop steps with (not from the exact centre's
+    distances), so its stopping test fires before the exact one passes."""
     P = np.asarray(X, dtype=np.float64)
     n = P.shape[0]
     shift = P.mean(axis=0)
     P = P - shift
     sq = np.einsum("ij,ij->i", P, P)
     G = P @ P.T
+    if loosen:
+        G = G - loosen * sq.max()
 
     u = np.zeros(n)
     u[0] = 1.0

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,8 @@ import marginsparse
 from marginsparse import cli
 from marginsparse.data import LabeledDataset, gen_synthetic, load_dataset, write_svmlight
 from marginsparse.pipelines import select_geometry
+
+from test_svm import _text_corpus
 
 
 @pytest.fixture()
@@ -432,6 +435,8 @@ _SOLVER_FLAG_VALUES = [
     ("--delta", "0", "in (0, 1)"),
     ("--delta", "1", "in (0, 1)"),
     ("--delta", "1.5", "in (0, 1)"),
+    ("--delta", "1e-09", "at least 0.0001"),
+    ("--delta", "9e-05", "at least 0.0001"),
     ("--chunk-fraction", "1", "in [0, 1)"),
     ("--chunk-fraction", "-0.1", "in [0, 1)"),
 ]
@@ -454,6 +459,17 @@ def test_invalid_solver_flags_are_usage_errors(capsys, monkeypatch, lowrank_path
         cli.main([*command, "--data", lowrank_path, flag, value])
     assert exc.value.code == 2
     assert f"error: {flag} must be {rule}, got {float(value)}" in capsys.readouterr().err
+
+
+def test_delta_below_the_floor_exits_at_once(capsys, tmp_path):
+    path = tmp_path / "synth.svm"
+    path.write_text(write_svmlight(gen_synthetic(60, 300, 10, seed=0)))
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["select", "--data", str(path), "--features", "40", "--delta", "1e-9"])
+    assert time.perf_counter() - start < 1.0
+    assert exc.value.code == 2
+    assert "--delta must be at least 0.0001, got 1e-09" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["cv", "feature-freq"])
@@ -627,3 +643,50 @@ def test_installed_console_script():
     )
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 4
+
+
+# ------------------------------------------------- sparse text, svmlight and CSV
+
+TEXT_CALLS = {
+    "select bss": ["select", "--method", "bss"],
+    "select leverage": ["select", "--method", "leverage"],
+    "select approx-bss": ["select", "--method", "approx-bss", "--t", "60"],
+    "verify radius": ["verify", "--bound", "radius", "--method", "bss"],
+}
+
+
+@pytest.fixture(scope="module")
+def text_files(tmp_path_factory):
+    """The sparse-text corpus as svmlight and as CSV, every value exact."""
+    data = _text_corpus()
+    folder = tmp_path_factory.mktemp("text")
+    svm, csv = folder / "text.svm", folder / "text.csv"
+    svm.write_text(write_svmlight(data))
+    rows = np.column_stack([data.X.toarray(), data.y])
+    csv.write_text("".join(",".join(map(repr, row.tolist())) + "\n" for row in rows))
+    return str(svm), str(csv)
+
+
+def _text_call(capsys, argv, path):
+    code, out = run_json(capsys, [*argv, "--data", path, "--features", "200",
+                                  "--seed", "902"])
+    assert code == 0, out.err
+    return json.loads(out.out)
+
+
+@pytest.mark.parametrize("call", TEXT_CALLS)
+def test_sparse_text_calls_densify_nothing(capsys, text_files, refuse_to_dense, call):
+    _text_call(capsys, TEXT_CALLS[call], text_files[0])
+
+
+@pytest.mark.parametrize("call", TEXT_CALLS)
+def test_svmlight_and_csv_copies_give_one_result(capsys, text_files, call):
+    sparse, dense = (_text_call(capsys, TEXT_CALLS[call], path) for path in text_files)
+    for key in ("radius_full", "radius_sampled"):
+        assert sparse[key] == pytest.approx(dense[key], rel=1e-10)
+    if call == "verify radius":
+        return
+    assert sparse["selected_indices"] == dense["selected_indices"]
+    np.testing.assert_allclose(sparse["weights"], dense["weights"], rtol=1e-12)
+    for key in ("margin_full", "margin_sampled", "margin_sampled_full_data"):
+        assert sparse[key] == pytest.approx(dense[key], rel=1e-10)

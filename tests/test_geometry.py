@@ -3,15 +3,19 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from marginsparse import geometry
 from marginsparse.data import LabeledDataset, gen_synthetic
 from marginsparse.errors import DataError
-from marginsparse.geometry import meb_radius
+from marginsparse.geometry import MIN_DELTA, SPARSE_MAX_KAPPA, meb_radius
+from marginsparse.operators import SamplingOperator
 from marginsparse.linalg import spectral_error, thin_svd
 from marginsparse.pipelines import SelectionReport, select_geometry, verify_margin_bound
 
 from oracles import (eig_spectral_norm, exhaustive_meb, identity_operator,
                      meb_gram_reference, meb_reference, svd_reference)
+from test_svm import _text_corpus, _text_support_vectors
 
 
 def test_two_point_ball():
@@ -111,6 +115,23 @@ def test_meb_radius_matches_the_gram_row_loop_bitwise(case):
         assert not ball.certified and ball.iterations == math.ceil(1.0 / delta**2)
 
 
+def test_a_failed_exact_check_resumes_the_loop_as_the_gram_row_loop_does(monkeypatch):
+    # A Gram matrix shifted down by 1 % of the scale makes the in-loop test
+    # fire while the exact one fails, so the loop goes on from the exact
+    # centre, many times over.
+    dense = geometry._dense_geometry
+
+    def loosened(X):
+        G, sq, shift, centre, path = dense(X)
+        return G - 0.01 * sq.max(), sq, shift, centre, path
+
+    monkeypatch.setattr(geometry, "_dense_geometry", loosened)
+    P = np.random.default_rng(13).standard_normal((20, 4))
+    ball, ref = meb_radius(P), meb_gram_reference(P, loosen=0.01)
+    assert ball.iterations == ref.iterations > meb_gram_reference(P).iterations
+    assert np.array_equal(ball.center, ref.center) and ball.radius == ref.radius
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_nonfinite_input_raises_at_once(bad):
     P = np.array([[0.0, 0.0], [1.0, bad], [2.0, 3.0]])
@@ -125,6 +146,77 @@ def test_delta_validation():
         meb_radius(np.zeros((2, 2)), delta=0.0)
     with pytest.raises(DataError):
         meb_radius(np.zeros((2, 2)), delta=1.5)
+
+
+def test_delta_below_the_floor_raises_before_any_work(monkeypatch):
+    def no_work(X):
+        raise AssertionError("the ball was started")
+
+    monkeypatch.setattr(geometry, "check_matrix", no_work)
+    for delta in (1e-9, MIN_DELTA * (1 - 1e-12)):
+        with pytest.raises(DataError, match=f"at least {MIN_DELTA:g}"):
+            meb_radius(np.zeros((2, 2)), delta=delta)
+    monkeypatch.undo()
+    assert meb_radius(np.array([[0.0, 0.0], [1.0, 0.0]]), delta=MIN_DELTA).certified
+
+
+# ------------------------------------------------------------- sparse input
+
+def _text_sampled():
+    """The support vectors' copy sampled by 200 weighted columns."""
+    X = _text_support_vectors().X
+    rng = np.random.default_rng(4)
+    return SamplingOperator(X.shape[1], rng.integers(0, X.shape[1], 200),
+                            rng.uniform(0.5, 2.0, 200)).apply(X)
+
+
+SPARSE_BALLS = {
+    "text": lambda: _text_corpus().X,
+    "text support vectors": lambda: _text_support_vectors().X,
+    "text sampled": _text_sampled,
+    "random": lambda: sp.random(60, 2000, density=0.02, format="csr", random_state=8),
+}
+
+
+@pytest.mark.parametrize("case", SPARSE_BALLS)
+def test_sparse_ball_matches_the_dense_ball_without_densifying(case, refuse_to_dense):
+    X = SPARSE_BALLS[case]()
+    ball, dense = meb_radius(X), meb_radius(X.toarray())
+    assert (ball.path, dense.path) == ("sparse", "dense")
+    assert (ball.iterations, ball.certified) == (dense.iterations, dense.certified)
+    assert ball.radius == pytest.approx(dense.radius, rel=1e-12)
+    assert np.linalg.norm(ball.center - dense.center) <= 1e-12 * np.linalg.norm(dense.center)
+
+
+@pytest.mark.parametrize("case", SPARSE_BALLS)
+def test_sparse_centred_gram_matches_the_dense_one(case):
+    X = SPARSE_BALLS[case]()
+    G, sq, shift, _, path = geometry._sparse_geometry(X)
+    G_dense, sq_dense, shift_dense, _, _ = geometry._dense_geometry(X.toarray())
+    scale = sq_dense.max()
+    assert path == "sparse" and np.array_equal(G, G.T)
+    assert np.abs(G - G_dense).max() <= 1e-14 * scale
+    # The dense sq sums d squares of the centred rows, so it rounds more.
+    assert np.abs(sq - sq_dense).max() <= 1e-13 * scale
+    np.testing.assert_allclose(shift, shift_dense, rtol=1e-14, atol=0)
+
+
+def test_sparse_ball_far_from_the_origin_takes_the_dense_route():
+    rng = np.random.default_rng(9)
+    X = sp.random(30, 400, density=0.05, format="lil", random_state=rng)
+    X[:, 7] = 1e3  # max |x_i|^2 / max |x_i - m|^2 is about 1e6
+    X = X.tocsr()
+    norms = np.asarray(X.multiply(X).sum(axis=1)).ravel()
+    P = X.toarray() - X.toarray().mean(axis=0)
+    assert norms.max() > SPARSE_MAX_KAPPA * np.einsum("ij,ij->i", P, P).max()
+    assert geometry._sparse_geometry(X) is None
+    ball, dense = meb_radius(X), meb_radius(X.toarray())
+    assert ball.path == "dense"
+    assert ball.radius == pytest.approx(dense.radius, rel=1e-12, abs=0.0)
+    # Every point the mean: no scale to measure kappa against.
+    same = sp.csr_matrix(np.ones((4, 3)))
+    assert geometry._sparse_geometry(same) is None
+    assert meb_radius(same).path == "dense" and meb_radius(same).radius == 0.0
 
 
 # ------------------------------------------------------------ radius bound

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from marginsparse.data import LabeledDataset, gen_synthetic
 from marginsparse.linalg import thin_svd
@@ -10,6 +11,7 @@ from marginsparse.svm import solve_dual
 from marginsparse.bss import bss_select
 
 from oracles import sampled_gram_error
+from test_svm import _text_support_vectors
 
 
 def test_sketch_of_zero_is_zero():
@@ -39,6 +41,20 @@ def test_sketch_deterministic():
     np.testing.assert_array_equal(a, b)
     c = gaussian_sketch(X, t=4, seed=6)
     assert not np.allclose(a, c)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _text_support_vectors().X,
+    lambda: sp.random(40, 900, density=0.03, format="csr", random_state=6),
+], ids=["text support vectors", "random"])
+def test_sparse_sketch_matches_the_dense_one_without_densifying(build, refuse_to_dense):
+    X = build()
+    sketch = gaussian_sketch(X, t=60, seed=902)
+    dense = gaussian_sketch(X.toarray(), t=60, seed=902)
+    assert isinstance(sketch, np.ndarray) and sketch.shape == (60, X.shape[1])
+    assert np.abs(sketch - dense).max() <= 1e-13 * np.abs(dense).max()
+    F, F_dense = thin_svd(sketch), thin_svd(dense)
+    np.testing.assert_allclose(F.singular_values, F_dense.singular_values, rtol=1e-12)
 
 
 def test_sketch_config_validation():

@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,14 +298,61 @@ REFERENCE_CASES = _reference_cases()
 def test_solve_dual_matches_reference_loop(name):
     data, kwargs = REFERENCE_CASES[name]
     m = solve_dual(data, **kwargs)
-    X = data.X.toarray() if scipy.sparse.issparse(data.X) else data.X
-    ref = smo_reference(X, data.y, **kwargs)
+    X, K = data.X, None
+    if scipy.sparse.issparse(X):
+        X, K = X.toarray(), (X @ X.T).toarray()  # the kernel solve_dual forms
+    ref = smo_reference(X, data.y, K=K, **kwargs)
     assert np.array_equal(m.alpha, ref.alpha)
-    assert np.array_equal(m.w, ref.w)
-    assert (m.b, m.objective, m.converged, m.kkt_gap, m.steps) == (
-        ref.b, ref.objective, ref.converged, ref.kkt_gap, ref.steps)
+    assert (m.converged, m.kkt_gap, m.steps) == (ref.converged, ref.kkt_gap, ref.steps)
+    if K is None:
+        assert np.array_equal(m.w, ref.w)
+        assert (m.b, m.objective) == (ref.b, ref.objective)
+    else:  # w = X'(y*alpha) as a sparse product rounds differently
+        assert np.linalg.norm(m.w - ref.w) <= 1e-12 * np.linalg.norm(ref.w)
+        assert m.b == pytest.approx(ref.b, rel=1e-12, abs=1e-12)
+        assert m.objective == pytest.approx(ref.objective, rel=1e-12)
     assert m.steps > 0
     if name in ("capped", "rank10"):
         assert not m.converged  # the step cap, not the tolerance, ended it
     if name == "w-zero":
         assert not np.any(m.w)
+
+
+# ------------------------------------------------------- sparse (CSR) input
+
+def _text_corpus():
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from textgen import techtc_like
+    return techtc_like(100, 4000, 60, seed=0)  # the sparse-text corpus
+
+
+def _text_support_vectors():
+    data = _text_corpus()
+    return data.subset(solve_dual(data).support_indices)
+
+
+CSR_CASES = {
+    "synthetic": lambda: gen_synthetic(40, 300, 6, seed=3),
+    "text": _text_corpus,
+    "text support vectors": _text_support_vectors,
+}
+
+
+@pytest.mark.parametrize("case", CSR_CASES)
+def test_csr_and_dense_copies_give_one_solution(case, refuse_to_dense):
+    data = CSR_CASES[case]()
+    X = data.X.toarray() if scipy.sparse.issparse(data.X) else data.X
+    dense = solve_dual(LabeledDataset(X, data.y))
+    sparse = solve_dual(LabeledDataset(scipy.sparse.csr_matrix(X), data.y))
+    assert np.array_equal(sparse.support_indices, dense.support_indices)
+    assert sparse.steps == dense.steps and sparse.converged == dense.converged
+    for a, b in ((sparse.alpha, dense.alpha), (sparse.w, dense.w)):
+        assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+    assert sparse.b == pytest.approx(dense.b, rel=1e-12)
+    assert sparse.margin == pytest.approx(dense.margin, rel=1e-12)
+
+
+def test_sparse_kernel_of_the_text_corpus_is_exactly_symmetric():
+    for X in (_text_corpus().X, _text_support_vectors().X):
+        K = (X @ X.T).toarray()
+        assert np.array_equal(K, K.T)
